@@ -300,7 +300,7 @@ def cmd_group(args) -> int:
     n_groups = sum(1 for t in tables if not t.isolate)
     n_isolates = sum(1 for t in tables if t.isolate)
     print(
-        f"{len(records)} institutions, {len(graph.edges)} edges, "
+        f"{len(records)} institutions, {graph.edge_count} edges, "
         f"{n_groups} groups, {n_isolates} isolates",
         file=sys.stderr,
     )

@@ -8,6 +8,9 @@ are byte-identical.
 import csv
 import io
 import json
+import math
+
+import numpy as np
 
 from .siggraph import SignificanceGraph
 
@@ -17,62 +20,85 @@ __all__ = ["GRAPH_FORMATS", "render_graph", "write_dot", "write_pajek",
 GRAPH_FORMATS = ("csv", "dot", "pajek", "vjson")
 
 
+def _edge_rows(g: SignificanceGraph):
+    """(src, dst, z, strong) of every edge as Python values, in canonical order."""
+    return zip(g.src.tolist(), g.dst.tolist(), g.z.tolist(), g.strong.tolist())
+
+
 def _dot_quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def write_dot(g: SignificanceGraph) -> str:
     """Undirected DOT graph with z node attributes."""
+    quoted = [_dot_quote(name) for name in g.names]
+    strong_attr = ("", ", strong=true")
     lines = ["graph ranksig {"]
-    for node in g.nodes:
-        lines.append(f"  {_dot_quote(node.name)} [z={node.z:.6f}];")
-    for e in g.edges:
-        attrs = f"z={e.z:.6f}"
-        if e.strong:
-            attrs += ", strong=true"
-        lines.append(f"  {_dot_quote(e.a)} -- {_dot_quote(e.b)} [{attrs}];")
+    lines += [f"  {q} [z={node.z:.6f}];" for q, node in zip(quoted, g.nodes)]
+    lines += [
+        f"  {quoted[i]} -- {quoted[j]} [z={z:.6f}{strong_attr[strong]}];"
+        for i, j, z, strong in _edge_rows(g)
+    ]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def write_pajek(g: SignificanceGraph) -> str:
     """Pajek network: *Vertices with 1-based ids, then *Edges with |z| weights."""
-    ids = {node.name: i + 1 for i, node in enumerate(g.nodes)}
+    labels = [name.replace('"', "'") for name in g.names]
     lines = [f"*Vertices {len(g.nodes)}"]
-    for node in g.nodes:
-        label = node.name.replace('"', "'")
-        lines.append(f'{ids[node.name]} "{label}"')
+    lines += [f'{k} "{label}"' for k, label in enumerate(labels, 1)]
     lines.append("*Edges")
-    for e in g.edges:
-        lines.append(f"{ids[e.a]} {ids[e.b]} {abs(e.z):.6f}")
+    lines += [
+        f"{i} {j} {w:.6f}"
+        for i, j, w in zip((g.src + 1).tolist(), (g.dst + 1).tolist(),
+                           np.abs(g.z).tolist())
+    ]
     return "\n".join(lines) + "\n"
 
 
+def _json_float(x: float) -> str:
+    """A float as the json module writes it (NaN and infinities included)."""
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _json_list(entries: list) -> str:
+    return "[" + ",".join(entries) + "\n    ]" if entries else "[]"
+
+
 def write_vjson(g: SignificanceGraph) -> str:
-    """Viewer-compatible network JSON: items weighted by node z, links by |z|."""
-    ids = {node.name: i + 1 for i, node in enumerate(g.nodes)}
-    doc = {
-        "network": {
-            "items": [
-                {"id": ids[n.name], "label": n.name, "weight": n.z}
-                for n in g.nodes
-            ],
-            "links": [
-                {"source_id": ids[e.a], "target_id": ids[e.b], "strength": abs(e.z)}
-                for e in g.edges
-            ],
-        }
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Viewer-compatible network JSON: items weighted by node z, links by |z|.
+
+    The text is what ``json.dumps(doc, indent=2, sort_keys=True)`` writes
+    for the document, filled into a fixed template.
+    """
+    items = [
+        f'\n      {{\n        "id": {k},\n        "label": {json.dumps(n.name)},'
+        f'\n        "weight": {json.dumps(n.z)}\n      }}'
+        for k, n in enumerate(g.nodes, 1)
+    ]
+    strengths = map(_json_float, np.abs(g.z).tolist())
+    links = [
+        f'\n      {{\n        "source_id": {i},\n        "strength": {w},'
+        f'\n        "target_id": {j}\n      }}'
+        for i, j, w in zip((g.src + 1).tolist(), (g.dst + 1).tolist(), strengths)
+    ]
+    return (
+        '{\n  "network": {\n    "items": ' + _json_list(items)
+        + ',\n    "links": ' + _json_list(links) + "\n  }\n}\n"
+    )
 
 
 def write_edge_csv(g: SignificanceGraph) -> str:
     """Edge list CSV (isolated nodes do not appear; use the rank tables for nodes)."""
+    names = g.names
+    flags = ("false", "true")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["source", "target", "z", "strong"])
-    for e in g.edges:
-        writer.writerow([e.a, e.b, repr(e.z), "true" if e.strong else "false"])
+    writer.writerows(
+        (names[i], names[j], repr(z), flags[strong]) for i, j, z, strong in _edge_rows(g)
+    )
     return buf.getvalue()
 
 

@@ -14,7 +14,9 @@ omitted from the header entirely; a missing top count is reconstructed as
 
 Counts are stored as reals: fractional counting attributes partial
 publication credit, so neither ``p`` nor ``t_top10`` needs to be an
-integer.
+integer. A count above ``MAX_COUNT`` (10^12 publications, far beyond any
+real edition) is rejected as a malformed row: sums of such counts can
+overflow the statistics downstream.
 """
 
 import csv
@@ -40,6 +42,7 @@ __all__ = [
     "load_records",
     "select_records",
     "dump_records",
+    "MAX_COUNT",
 ]
 
 _COLUMNS = (
@@ -47,6 +50,9 @@ _COLUMNS = (
     "p", "t_top10", "pp_top10", "ci_lower", "ci_upper",
 )
 _OPTIONAL_COLUMNS = frozenset({"t_top10", "ci_lower", "ci_upper"})
+
+# Largest publication count (``p`` or ``t_top10``) accepted at ingest.
+MAX_COUNT = 1e12
 
 
 class Counting(enum.Enum):
@@ -271,6 +277,15 @@ def _check_header(header: list, line_no: int) -> None:
         raise MalformedRow(line_no, "header columns are out of order")
 
 
+def _parse_count(line_no: int, column: str, cell: str) -> float:
+    value = _parse_float(line_no, column, cell)
+    if value > MAX_COUNT:
+        raise MalformedRow(
+            line_no, f"column {column!r}: {cell!r} exceeds the ceiling of {MAX_COUNT:g}"
+        )
+    return value
+
+
 def _build_record(cells: dict, line_no: int, percent: bool) -> InstitutionRecord:
     for col in ("name", "country", "period", "field", "counting", "p", "pp_top10"):
         if not cells.get(col, "").strip():
@@ -281,14 +296,14 @@ def _build_record(cells: dict, line_no: int, percent: bool) -> InstitutionRecord
     except ValueError as exc:
         raise MalformedRow(line_no, str(exc)) from None
 
-    p = _parse_float(line_no, "p", cells["p"])
+    p = _parse_count(line_no, "p", cells["p"])
     pp = _parse_float(line_no, "pp_top10", cells["pp_top10"])
     scale = 0.01 if percent else 1.0
     pp *= scale
 
     t_cell = cells.get("t_top10", "").strip()
     if t_cell:
-        t = _parse_float(line_no, "t_top10", t_cell)
+        t = _parse_count(line_no, "t_top10", t_cell)
     else:
         t = pp * p
 

@@ -19,13 +19,16 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import DuplicateRecord, MissingInterval
+import numpy as np
+
+from .errors import DuplicateRecord, InvalidStatistic, MissingInterval
 from .ingest import InstitutionRecord
 from .stats import (
+    Direction,
     IntervalRelation,
     RelationKind,
     Z_P01,
-    ci_relation,
+    ci_relation,  # noqa: F401  the scalar form of build_graph's interval pass
     link_z,
     z_vs_expectation,
 )
@@ -64,39 +67,117 @@ class GraphEdge:
     strong: bool = False
 
 
-@dataclass(frozen=True)
+# Relation code of an edge -> GraphEdge.relation. Code 0 is "no relation"
+# (z-criterion edges); codes 1-4 are what the interval criterion produces.
+_RELATIONS = (
+    None,
+    IntervalRelation(RelationKind.OVERLAP),
+    IntervalRelation(RelationKind.CONTAINMENT, Direction.A_IN_B),
+    IntervalRelation(RelationKind.CONTAINMENT, Direction.B_IN_A),
+    IntervalRelation(RelationKind.CONTAINMENT, Direction.MUTUAL),
+    IntervalRelation(RelationKind.DISJOINT),
+)
+_RELATION_CODE = {rel: code for code, rel in enumerate(_RELATIONS)}
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class SignificanceGraph:
     """Undirected graph of institutions with z node weights.
 
     Nodes are sorted by name and edges by endpoint pair, so two graphs over
     the same data compare equal regardless of construction order.
+
+    Edges are stored as parallel arrays in that canonical order: ``src``
+    and ``dst`` index into ``nodes`` (``src < dst``), ``z`` holds the pair
+    z, ``strong`` the containment flag and ``relation`` a code for the
+    interval relation (0 when there is none). ``edges`` is the same edge
+    list as a tuple of GraphEdge, built on first use. Graphs are
+    immutable.
     """
 
-    nodes: Tuple[GraphNode, ...]
-    edges: Tuple[GraphEdge, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(sorted(self.nodes, key=lambda n: n.name)))
-        names = [n.name for n in self.nodes]
-        if len(set(names)) != len(names):
+    def __init__(self, nodes: Iterable[GraphNode], edges: Iterable[GraphEdge]):
+        nodes = tuple(sorted(nodes, key=lambda n: n.name))
+        index = {n.name: i for i, n in enumerate(nodes)}
+        if len(index) != len(nodes):
             raise DuplicateRecord("graph nodes must have unique names")
-        name_set = set(names)
         canonical = []
         seen = set()
-        for e in self.edges:
+        for e in edges:
             if e.a == e.b:
                 raise ValueError(f"self-edge on {e.a!r}")
-            if e.a not in name_set or e.b not in name_set:
+            if e.a not in index or e.b not in index:
                 raise ValueError(f"edge ({e.a!r}, {e.b!r}) references a missing node")
             if e.a > e.b:
                 e = GraphEdge(e.b, e.a, e.z, e.relation, e.strong)
             if (e.a, e.b) in seen:
                 raise ValueError(f"duplicate edge ({e.a!r}, {e.b!r})")
+            if e.relation not in _RELATION_CODE:
+                raise ValueError(f"edge ({e.a!r}, {e.b!r}) has an unknown relation")
             seen.add((e.a, e.b))
             canonical.append(e)
-        object.__setattr__(
-            self, "edges", tuple(sorted(canonical, key=lambda e: (e.a, e.b)))
+        canonical.sort(key=lambda e: (e.a, e.b))
+        self._set(
+            nodes,
+            np.array([index[e.a] for e in canonical], dtype=np.intp),
+            np.array([index[e.b] for e in canonical], dtype=np.intp),
+            np.array([e.z for e in canonical], dtype=np.float64),
+            np.array([bool(e.strong) for e in canonical], dtype=bool),
+            np.array([_RELATION_CODE[e.relation] for e in canonical], dtype=np.int8),
         )
+        object.__setattr__(self, "_edges", tuple(canonical))
+
+    @classmethod
+    def _from_arrays(cls, nodes, src, dst, z, strong, relation) -> "SignificanceGraph":
+        """A graph from nodes sorted by name and edge arrays in canonical order.
+
+        Nothing is checked: the caller guarantees ``src < dst``, unique
+        pairs, and row-major (src, dst) order.
+        """
+        g = cls.__new__(cls)
+        g._set(nodes, src, dst, z, strong, relation)
+        return g
+
+    def _set(self, nodes, src, dst, z, strong, relation) -> None:
+        fields = {
+            "nodes": nodes,
+            "names": tuple(n.name for n in nodes),
+            "src": _frozen(src),
+            "dst": _frozen(dst),
+            "z": _frozen(z),
+            "strong": _frozen(strong),
+            "relation": _frozen(relation),
+            "_edges": None,
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SignificanceGraph is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SignificanceGraph is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.nodes == other.nodes
+            and np.array_equal(self.src, other.src)
+            and np.array_equal(self.dst, other.dst)
+            and np.array_equal(self.z, other.z)
+            and np.array_equal(self.strong, other.strong)
+            and np.array_equal(self.relation, other.relation)
+        )
+
+    def __hash__(self):
+        return hash((self.nodes, self.edge_count))
+
+    def __repr__(self):
+        return f"SignificanceGraph({len(self.nodes)} nodes, {self.edge_count} edges)"
 
     @classmethod
     def from_scores(
@@ -121,22 +202,45 @@ class SignificanceGraph:
         return cls(nodes=nodes, edges=tuple(built))
 
     @property
-    def names(self) -> Tuple[str, ...]:
-        return tuple(n.name for n in self.nodes)
+    def edge_count(self) -> int:
+        return len(self.src)
+
+    @property
+    def edges(self) -> Tuple[GraphEdge, ...]:
+        if self._edges is None:
+            names = self.names
+            edges = tuple(
+                GraphEdge(names[i], names[j], z, _RELATIONS[code], strong)
+                for i, j, z, strong, code in zip(
+                    self.src.tolist(), self.dst.tolist(), self.z.tolist(),
+                    self.strong.tolist(), self.relation.tolist(),
+                )
+            )
+            object.__setattr__(self, "_edges", edges)
+        return self._edges
 
     @property
     def node_z(self) -> Dict[str, float]:
         return {n.name: n.z for n in self.nodes}
 
-    def neighbors(self) -> Dict[str, List[str]]:
-        adj: Dict[str, List[str]] = {n.name: [] for n in self.nodes}
-        for e in self.edges:
-            adj[e.a].append(e.b)
-            adj[e.b].append(e.a)
-        return adj
+    def _adjacency(self) -> Tuple[List[int], List[int]]:
+        """CSR adjacency as lists: node k's neighbours are
+        ``indices[indptr[k]:indptr[k + 1]]``, in ascending index order."""
+        ends = np.concatenate((self.src, self.dst))
+        others = np.concatenate((self.dst, self.src))
+        order = np.lexsort((others, ends))
+        indptr = np.zeros(len(self.nodes) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(ends, minlength=len(self.nodes)), out=indptr[1:])
+        return indptr.tolist(), others[order].tolist()
 
-    def degree(self, name: str) -> int:
-        return sum(1 for e in self.edges if name in (e.a, e.b))
+    def neighbors(self) -> Dict[str, List[str]]:
+        """Name -> neighbour names, each list in ascending name order."""
+        names = self.names
+        indptr, indices = self._adjacency()
+        return {
+            name: [names[j] for j in indices[indptr[k]:indptr[k + 1]]]
+            for k, name in enumerate(names)
+        }
 
 
 @dataclass(frozen=True)
@@ -173,6 +277,11 @@ class GroupTable:
     rows: Tuple[RankedRow, ...]
 
 
+# Pair cells computed per row block of the pair pass; bounds its
+# temporaries to a few MiB whatever the edition size.
+_BLOCK_CELLS = 1 << 18
+
+
 def build_graph(
     records: Sequence[InstitutionRecord],
     criterion: Criterion = Criterion.Z_TEST,
@@ -186,6 +295,13 @@ def build_graph(
     stability intervals overlap or one contains the other; containment sets
     the ``strong`` flag and every record must carry interval bounds. Node
     weights are always the z against the 10% expectation.
+
+    Every pair is tested in one vectorised pass, in row blocks of the
+    name-ordered pair matrix, with the operation order of ``link_z``, so
+    each z is bit-equal to the scalar value. Pairs the scalar test treats
+    specially (pooled proportion 0 or 1, zero or non-finite intermediates)
+    go through ``link_z`` itself, in name order: it warns and returns 0
+    or raises DegeneratePool exactly as a pair-by-pair loop would.
     """
     recs = sorted(records, key=lambda r: r.name)
     if len({r.name for r in recs}) != len(recs):
@@ -197,22 +313,50 @@ def build_graph(
             if not r.has_interval:
                 raise MissingInterval(f"{r.name}: record has no stability interval")
 
-    edges = []
-    for i, a in enumerate(recs):
-        for b in recs[i + 1:]:
-            z = link_z(a, b, proportions)
+    n = len(recs)
+    parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0),
+              np.empty(0, np.int8))]
+    if n > 1:
+        if proportions not in ("stored", "exact"):
+            raise InvalidStatistic(f"unknown proportion mode {proportions!r}")
+        t = np.array([r.t_top10 for r in recs], dtype=np.float64)
+        p = np.array([r.p for r in recs], dtype=np.float64)
+        inv_p = 1.0 / p
+        if proportions == "exact":
+            share = t / p
+        else:
+            share = np.array([r.pp_top10 for r in recs], dtype=np.float64)
+        if criterion is Criterion.CI_OVERLAP:
+            lo = np.array([r.ci_lower for r in recs], dtype=np.float64)
+            hi = np.array([r.ci_upper for r in recs], dtype=np.float64)
+        rows = max(1, _BLOCK_CELLS // n)
+        # block rows i0..i1-1 against columns i0+1..n-1; keep cells with j > i
+        for i0 in range(0, n - 1, rows):
+            i1 = min(i0 + rows, n - 1)
+            a, b = slice(i0, i1), slice(i0 + 1, n)
+            upper = np.arange(n - i0 - 1)[None, :] >= np.arange(i1 - i0)[:, None]
+            with np.errstate(all="ignore"):
+                pooled = (t[a, None] + t[None, b]) / (p[a, None] + p[None, b])
+                se = np.sqrt(pooled * (1.0 - pooled) * (inv_p[a, None] + inv_p[None, b]))
+                z = (share[a, None] - share[None, b]) / se
+                regular = (pooled > 0) & (pooled < 1) & (se > 0) & np.isfinite(z)
+            for r, c in zip(*np.nonzero(upper & ~regular)):
+                z[r, c] = link_z(recs[i0 + r], recs[i0 + 1 + c], proportions)
             if criterion is Criterion.Z_TEST:
-                if abs(z) < threshold:
-                    edges.append(GraphEdge(a.name, b.name, z))
+                keep = upper & (np.abs(z) < threshold)
+                code = np.zeros(z.shape, dtype=np.int8)
             else:
-                rel = ci_relation(a.interval(), b.interval())
-                if rel.kind is not RelationKind.DISJOINT:
-                    edges.append(GraphEdge(
-                        a.name, b.name, z,
-                        relation=rel,
-                        strong=rel.kind is RelationKind.CONTAINMENT,
-                    ))
-    return SignificanceGraph(nodes=nodes, edges=tuple(edges))
+                a_lo, a_hi, b_lo, b_hi = lo[a, None], hi[a, None], lo[None, b], hi[None, b]
+                keep = upper & ~((a_hi < b_lo) | (b_hi < a_lo))
+                a_in_b = (b_lo <= a_lo) & (a_hi <= b_hi)
+                b_in_a = (a_lo <= b_lo) & (b_hi <= a_hi)
+                # 1 overlap, 2 a in b, 3 b in a, 4 mutual: indices into _RELATIONS
+                code = (1 + a_in_b + 2 * b_in_a).astype(np.int8)
+            r, c = np.nonzero(keep)
+            parts.append((r + i0, c + (i0 + 1), z[r, c], code[r, c]))
+
+    src, dst, z, relation = (np.concatenate(col) for col in zip(*parts))
+    return SignificanceGraph._from_arrays(nodes, src, dst, z, relation >= 2, relation)
 
 
 def _make_grouping(
@@ -247,24 +391,27 @@ def weak_components(g: SignificanceGraph) -> Grouping:
     Degree-zero nodes are isolates: their own singleton groups, listed
     after the regular tiers.
     """
-    adj = g.neighbors()
-    seen = set()
+    names = g.names
+    indptr, indices = g._adjacency()
+    seen = [False] * len(names)
     components = []
-    for start in g.names:
-        if start in seen:
+    for start in range(len(names)):
+        if seen[start]:
             continue
         stack = [start]
         comp = []
-        seen.add(start)
+        seen[start] = True
         while stack:
-            n = stack.pop()
-            comp.append(n)
-            for m in adj[n]:
-                if m not in seen:
-                    seen.add(m)
+            k = stack.pop()
+            comp.append(names[k])
+            for m in indices[indptr[k]:indptr[k + 1]]:
+                if not seen[m]:
+                    seen[m] = True
                     stack.append(m)
         components.append(comp)
-    isolates = frozenset(n for n, ns in adj.items() if not ns)
+    isolates = frozenset(
+        name for k, name in enumerate(names) if indptr[k] == indptr[k + 1]
+    )
     return _make_grouping(components, g.node_z, isolates)
 
 
@@ -284,22 +431,24 @@ def modularity(
     partition into all singletons is never positive.
     """
     _check_partition(g, partition)
-    m = len(g.edges)
+    m = g.edge_count
     if m == 0:
         return 0.0
-    intra: Dict[int, int] = {}
-    degree_sum: Dict[int, int] = {}
-    for e in g.edges:
-        ga, gb = partition.assignment[e.a], partition.assignment[e.b]
-        degree_sum[ga] = degree_sum.get(ga, 0) + 1
-        degree_sum[gb] = degree_sum.get(gb, 0) + 1
-        if ga == gb:
-            intra[ga] = intra.get(ga, 0) + 1
+    # dense codes for the group ids, so the edge counts are two bincounts
+    codes: Dict[int, int] = {}
+    node_code = np.array(
+        [codes.setdefault(partition.assignment[n], len(codes)) for n in g.names],
+        dtype=np.intp,
+    )
+    ga, gb = node_code[g.src], node_code[g.dst]
+    degree_sum = np.bincount(np.concatenate((ga, gb)), minlength=len(codes)).tolist()
+    intra = np.bincount(ga[ga == gb], minlength=len(codes)).tolist()
+    # the float sum runs over the groups in this set's order, as it always has
     q = 0.0
     groups = set(partition.assignment[n] for n in g.names)
     for c in groups:
-        mc = intra.get(c, 0)
-        dc = degree_sum.get(c, 0)
+        mc = intra[codes[c]]
+        dc = degree_sum[codes[c]]
         q += mc / m - resolution * (dc / (2.0 * m)) ** 2
     return q
 
@@ -418,13 +567,10 @@ def cluster(
     plain tier partition. Isolates stay singletons, and every cluster lies
     inside one weak component.
     """
-    if not g.edges:
+    if not g.edge_count:
         return weak_components(g)
 
-    adj: Dict[str, Dict[str, float]] = {n: {} for n in g.names}
-    for e in g.edges:
-        adj[e.a][e.b] = 1.0
-        adj[e.b][e.a] = 1.0
+    adj = {n: dict.fromkeys(nbrs, 1.0) for n, nbrs in g.neighbors().items()}
 
     membership = _louvain(adj, resolution, seed)
     comps: Dict[int, List[str]] = {}

@@ -248,6 +248,18 @@ class TestErrorPaths:
         assert code == 2
         assert "no records match" in err
 
+    def test_count_past_the_ceiling_exit_2(self, capsys, tmp_path):
+        # p = 1e308 used to overflow the pair table's fsum: exit 1
+        path = tmp_path / "huge.csv"
+        path.write_text(dump_records([
+            make_record(name="A", p=1e308, pp=0.1),
+            make_record(name="B", p=1e308, pp=0.2),
+        ]))
+        code, out, err = run(capsys, "pairwise", "--input", str(path), "A", "B")
+        assert code == 2
+        assert "ceiling" in err and "internal error" not in err
+        assert out == ""
+
     def test_usage_error_exit_2(self, capsys):
         code, _, err = run(capsys, "group", "--criterion", "astrology")
         assert code == 2

@@ -9,6 +9,7 @@ from ranksig.errors import (
     NoMatch,
 )
 from ranksig.ingest import (
+    MAX_COUNT,
     Counting,
     DatasetSelector,
     InstitutionRecord,
@@ -84,12 +85,18 @@ class TestMalformed:
         ("X,CN,2015-2018,F,frac,inf,1,0.1,,", "non-finite"),
         (",CN,2015-2018,F,frac,10,1,0.1,,", "empty"),
         ("X,CN,2015-2018,F,frac,10,1,nan,,", "non-finite"),
+        ("X,CN,2015-2018,F,frac,1e308,1,0.1,,", "ceiling"),
+        ("X,CN,2015-2018,F,frac,1e12,2e12,0.1,,", "ceiling"),
     ])
     def test_bad_rows_raise_with_line_number(self, row, fragment):
         with pytest.raises(MalformedRow) as err:
             parse_rows(row)
         assert err.value.line_no == 2
         assert fragment in str(err.value)
+
+    def test_count_at_the_ceiling_is_accepted(self):
+        (rec,) = parse_rows(f"X,CN,2015-2018,F,frac,{MAX_COUNT!r},{MAX_COUNT / 10!r},0.1,,")
+        assert rec.p == MAX_COUNT
 
     def test_missing_header(self):
         with pytest.raises(MalformedRow):

@@ -7,6 +7,8 @@ import pytest
 from ranksig.errors import DegeneratePoolWarning, EmptyInstitution, MissingInterval
 from ranksig.siggraph import (
     Criterion,
+    GraphEdge,
+    GraphNode,
     Grouping,
     SignificanceGraph,
     build_graph,
@@ -51,6 +53,38 @@ def random_graph(rng, max_nodes=60):
         if rng.random() < prob:
             edges.append((a, b, float(rng.normal())))
     return SignificanceGraph.from_scores(nodes, edges)
+
+
+class TestGraphValidation:
+    @pytest.mark.parametrize("edges, message", [
+        ([("a", "a")], "self-edge on 'a'"),
+        ([("a", "zz")], r"edge \('a', 'zz'\) references a missing node"),
+        ([("a", "b"), ("a", "b")], r"duplicate edge \('a', 'b'\)"),
+        ([("a", "b"), ("b", "a")], r"duplicate edge \('a', 'b'\)"),
+    ], ids=["self-edge", "missing node", "duplicate", "reversed duplicate"])
+    def test_bad_edges_rejected(self, edges, message):
+        nodes = [GraphNode(n, 0.0) for n in "abc"]
+        with pytest.raises(ValueError, match=message):
+            SignificanceGraph(nodes, [GraphEdge(a, b, 1.0) for a, b in edges])
+        with pytest.raises(ValueError, match=message):
+            SignificanceGraph.from_scores([(n.name, n.z) for n in nodes], edges)
+
+    def test_edges_are_canonical_and_lazy(self):
+        g = SignificanceGraph.from_scores(
+            [("c", 3.0), ("a", 1.0), ("b", 2.0)], [("c", "a", -1.5), ("b", "a", 0.5)]
+        )
+        assert [(e.a, e.b, e.z) for e in g.edges] == [("a", "b", 0.5), ("a", "c", -1.5)]
+        assert (g.src.tolist(), g.dst.tolist(), g.edge_count) == ([0, 0], [1, 2], 2)
+        built = build_graph([make_record(name=n, pp=0.1) for n in "cab"])
+        assert built.edges is built.edges
+        assert built == SignificanceGraph(built.nodes, built.edges)
+
+    def test_graph_is_immutable(self):
+        g = SignificanceGraph.from_scores([("a", 1.0), ("b", 2.0)], [("a", "b")])
+        with pytest.raises(AttributeError):
+            g.nodes = ()
+        with pytest.raises(ValueError):
+            g.z[0] = 5.0
 
 
 class TestBuildGraph:
