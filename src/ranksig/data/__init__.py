@@ -10,11 +10,11 @@ command runs out of the box.
 import csv
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..ingest import InstitutionRecord, parse_records
 
-__all__ = ["trio_records", "trio_csv", "TierRow", "china_tiers", "tier_scores"]
+__all__ = ["trio_records", "trio_csv", "TierRow", "china_tiers"]
 
 
 def _read(name: str) -> str:
@@ -54,10 +54,3 @@ def china_tiers() -> Tuple[TierRow, ...]:
         for row in reader
     )
 
-
-def tier_scores() -> Dict[str, List[Tuple[str, float]]]:
-    """Tier table regrouped as tier -> [(name, z), ...] in published order."""
-    out: Dict[str, List[Tuple[str, float]]] = {}
-    for row in china_tiers():
-        out.setdefault(row.tier, []).append((row.name, row.z))
-    return out

@@ -188,11 +188,7 @@ def series_view(
     Periods sort by the four-digit start year of their label; a duplicate
     period label keeps its first record.
     """
-    seen = {}
-    for rec in records:
-        key = (_start_year(rec.period), rec.period)
-        if key not in seen:
-            seen[key] = value.of(rec)
+    seen = _period_values(records, value)
     if not seen:
         raise AmbiguousPeriodLabel("no records to view")
     return tuple((period, seen[(year, period)]) for year, period in sorted(seen))

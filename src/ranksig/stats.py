@@ -16,11 +16,10 @@ from exact counts the squared two-proportion z equals the chi-square.
 
 import enum
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
-
-from scipy.stats import chi2 as _chi2_dist
 
 from .errors import (
     DegeneratePool,
@@ -198,10 +197,13 @@ def expected_table(obs: ContingencyTable) -> ContingencyTable:
     return ContingencyTable(rows=obs.rows, cols=obs.cols, observed=cells)
 
 
-def chi_square_terms(obs: ContingencyTable) -> Tuple[Tuple[float, ...], ...]:
-    """Per-cell contributions (observed - expected)^2 / expected."""
+def _cellwise(obs: ContingencyTable, f) -> Tuple[Tuple[float, ...], ...]:
+    """f(observed, expected) for every cell, row by row.
+
+    Raises ZeroExpectedCell at the first cell whose expected value is zero.
+    """
     exp = expected_table(obs)
-    terms = []
+    out = []
     for i, row_label in enumerate(obs.rows):
         row = []
         for j, col_label in enumerate(obs.cols):
@@ -210,10 +212,14 @@ def chi_square_terms(obs: ContingencyTable) -> Tuple[Tuple[float, ...], ...]:
                 raise ZeroExpectedCell(
                     f"expected cell ({row_label!r}, {col_label!r}) is zero"
                 )
-            d = obs.observed[i][j] - e
-            row.append(d * d / e)
-        terms.append(tuple(row))
-    return tuple(terms)
+            row.append(f(obs.observed[i][j], e))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def chi_square_terms(obs: ContingencyTable) -> Tuple[Tuple[float, ...], ...]:
+    """Per-cell contributions (observed - expected)^2 / expected."""
+    return _cellwise(obs, lambda o, e: (o - e) * (o - e) / e)
 
 
 def chi_square(obs: ContingencyTable) -> float:
@@ -227,19 +233,7 @@ def standardized_residuals(obs: ContingencyTable) -> Tuple[Tuple[float, ...], ..
     Residuals behave as z-scores per cell; their squares sum to the
     chi-square of the table.
     """
-    exp = expected_table(obs)
-    out = []
-    for i, row_label in enumerate(obs.rows):
-        row = []
-        for j, col_label in enumerate(obs.cols):
-            e = exp.observed[i][j]
-            if e <= 0:
-                raise ZeroExpectedCell(
-                    f"expected cell ({row_label!r}, {col_label!r}) is zero"
-                )
-            row.append((obs.observed[i][j] - e) / math.sqrt(e))
-        out.append(tuple(row))
-    return tuple(out)
+    return _cellwise(obs, lambda o, e: (o - e) / math.sqrt(e))
 
 
 def pooled_proportion(t1: float, n1: float, t2: float, n2: float) -> float:
@@ -324,13 +318,43 @@ def significance_level(z: float) -> SignificanceLevel:
     return SignificanceLevel.NOT_SIGNIFICANT
 
 
+def _chi2_sf(x: float, dof: int) -> float:
+    """Upper tail P(X >= x) of the chi-square distribution at an integer dof.
+
+    The closed form of the regularized upper incomplete gamma Q(dof/2, y),
+    y = x/2: exp(-y) * sum(y^j / j!, j < dof/2) for even dof, and
+    erfc(sqrt(y)) + exp(-y) * sum(y^(j+1/2) / gamma(j+3/2), j < (dof-1)/2)
+    for odd dof. Each term is formed in log space and the terms are added
+    with fsum, so none overflows or underflows on its own at a dof in the
+    thousands. O(dof) per call.
+    """
+    y = x / 2.0
+    if y == 0:  # x = 0, or x so small that x / 2 underflows
+        return 1.0
+    if math.isinf(y):
+        return 0.0
+    log_y = math.log(y)
+    if dof % 2 == 0:
+        terms = [math.exp(j * log_y - y - math.lgamma(j + 1)) for j in range(dof // 2)]
+    else:
+        terms = [math.erfc(math.sqrt(y))]
+        terms += [math.exp((j + 0.5) * log_y - y - math.lgamma(j + 1.5))
+                  for j in range((dof - 1) // 2)]
+    return math.fsum(terms)
+
+
 def chi_square_level(chi2_value: float, dof: int) -> SignificanceLevel:
-    """Significance class of a chi-square value at the given degrees of freedom."""
+    """Significance class of a chi-square value at the given degrees of freedom.
+
+    ``dof`` must be an integer (a float such as 3.0 is rejected).
+    """
     if math.isnan(chi2_value) or chi2_value < 0:
         raise InvalidStatistic(f"chi-square must be a non-negative real, got {chi2_value}")
+    if not isinstance(dof, numbers.Integral):
+        raise InvalidStatistic(f"degrees of freedom must be an integer, got {dof!r}")
     if dof < 1:
         raise InvalidStatistic(f"degrees of freedom must be >= 1, got {dof}")
-    p = float(_chi2_dist.sf(chi2_value, dof))
+    p = _chi2_sf(chi2_value, dof)
     if p <= 0.001:
         return SignificanceLevel.P001
     if p <= 0.01:

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ranksig
 from ranksig.cli import main
 from ranksig.ingest import dump_records
 
@@ -263,3 +268,17 @@ class TestErrorPaths:
     def test_usage_error_exit_2(self, capsys):
         code, _, err = run(capsys, "group", "--criterion", "astrology")
         assert code == 2
+
+
+class TestStartup:
+    def test_import_does_not_load_scipy(self):
+        # importing scipy.stats took about 1.1 s of every CLI call
+        src = str(Path(ranksig.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        result = subprocess.run(
+            [sys.executable, "-c",
+             'import ranksig.cli, sys; assert "scipy" not in sys.modules'],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr

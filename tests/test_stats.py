@@ -35,6 +35,7 @@ from ranksig.stats import (
     z_two_proportions,
     z_vs_expectation,
 )
+from ranksig.stats import _chi2_sf
 
 from conftest import make_record
 
@@ -315,6 +316,40 @@ class TestChiSquareLevel:
             chi_square_level(-1.0, 1)
         with pytest.raises(InvalidStatistic):
             chi_square_level(1.0, 0)
+
+    def test_non_integer_dof(self):
+        with pytest.raises(InvalidStatistic, match="degrees of freedom"):
+            chi_square_level(1.0, 3.0)
+        assert chi_square_level(93.40, np.int64(3)) is SignificanceLevel.P001
+
+
+class TestChiSquareTailOracle:
+    """The closed-form tail behind chi_square_level against scipy's chi2.sf."""
+
+    DOFS = list(range(1, 201)) + [500, 1000, 5000]
+
+    def grid(self, rng, chi2, dof):
+        xs = [0.0, 5e-324, 1e-5, 1e4, math.inf]
+        xs += rng.uniform(0.0, 3 * dof + 60, 50).tolist()
+        # either side of each critical value; the critical float itself is
+        # left out, since scipy's own sf(isf(t)) lands on either side of t
+        xs += [float(chi2.isf(t, dof)) * (1 + s)
+               for t in (0.05, 0.01, 0.001) for s in (-1e-9, 1e-9)]
+        return xs
+
+    def test_matches_scipy(self):
+        chi2 = pytest.importorskip("scipy.stats").chi2
+        rng = np.random.default_rng(20201)
+        for dof in self.DOFS:
+            xs = self.grid(rng, chi2, dof)
+            for x, ref in zip(xs, chi2.sf(xs, dof).tolist()):
+                got = _chi2_sf(x, dof)
+                if ref > 1e-300:
+                    assert abs(got - ref) <= 1e-10 * ref, (dof, x, got, ref)
+                else:
+                    assert got <= 1e-299, (dof, x, got, ref)
+                want = SignificanceLevel(sum(ref <= t for t in (0.05, 0.01, 0.001)))
+                assert chi_square_level(x, dof) is want, (dof, x, got, ref)
 
 
 class TestCiRelation:
