@@ -5,7 +5,8 @@ Subcommands: ``pairwise``, ``group``, ``compare``, ``decompose``,
 three-university dataset is used, so every command runs out of the box.
 
 Exit codes: 0 on success, 2 on user-input errors (bad files, unknown
-institutions, empty selections), 1 on internal errors. Machine-readable
+institutions, empty selections, selections spanning more than one
+(period, field, counting) slice), 1 on internal errors. Machine-readable
 output goes to ``--out`` or stdout; log lines go to stderr, never mixed
 into the data stream. Given identical inputs, flags, and seed, emitted
 files are byte-identical across runs. Set ``RANKSIG_NO_COLOR`` to disable
@@ -17,6 +18,7 @@ import csv
 import io
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -24,8 +26,10 @@ from . import compare as cmp_mod
 from . import data as data_mod
 from . import dynamics, stats
 from .errors import (
+    DegenerateTable,
     DuplicateRecord,
     MalformedRow,
+    MixedSlices,
     NoMatch,
     ConstantInput,
     RanksigError,
@@ -99,7 +103,7 @@ def _selector(args) -> DatasetSelector:
 def _load_records(args) -> List[InstitutionRecord]:
     selector = _selector(args)
     if not args.input:
-        return select_records(data_mod.trio_records(), selector)
+        return _one_slice(select_records(data_mod.trio_records(), selector))
     batches: List[InstitutionRecord] = []
     for path in args.input:
         with open(path, "rb") as fh:
@@ -107,7 +111,27 @@ def _load_records(args) -> List[InstitutionRecord]:
                 batches.extend(parse_records(fh))
             except NoMatch:
                 continue  # a file with zero data rows contributes nothing
-    return select_records(batches, selector)
+    return _one_slice(select_records(batches, selector))
+
+
+def _one_slice(records: List[InstitutionRecord]) -> List[InstitutionRecord]:
+    """The selected records, provided they form one (period, field, counting) slice.
+
+    Every command compares institutions within one edition: records from
+    several slices would mix editions in one test or list an institution
+    once per slice.
+    """
+    slices = Counter((r.period, r.field, r.counting.value) for r in records)
+    if len(slices) > 1:
+        listing = "".join(
+            f"\n  period={period!r}, field={fld!r}, counting={counting} ({n} records)"
+            for (period, fld, counting), n in sorted(slices.items())
+        )
+        raise MixedSlices(
+            f"the selected records span {len(slices)} slices; pick one with "
+            f"--period, --field and --counting:{listing}"
+        )
+    return records
 
 
 def _find(records: List[InstitutionRecord], name: str) -> InstitutionRecord:
@@ -317,7 +341,41 @@ def cmd_group(args) -> int:
 
 # ---------------------------------------------------------------- compare
 
-def _compare_report(label_a, label_b, ordinals, heading, bold) -> str:
+def _tier_side(flag: str, token: str):
+    """How a tier grouping is named when it has a single tier (see _two_categories)."""
+    if token == "ztest":
+        hint = ("another --alpha or the ci criterion may split it "
+                "(a larger --alpha drops z edges)")
+    else:
+        hint = "the ztest criterion may split it (--alpha does not change interval edges)"
+    return f"the {token} grouping ({flag} {token})", "tier", hint
+
+
+def _two_categories(sides, shared) -> None:
+    """Fail on a labelling that puts every shared institution in one category.
+
+    ``sides`` holds (labels, what, unit, hint) for each labelling: the
+    error names the labelling and says what could give it more categories.
+    """
+    single = []
+    for labels, what, unit, hint in sides:
+        cats = {labels[n] for n in shared}
+        if len(cats) == 1:
+            single.append(
+                f"{what} puts all {len(shared)} institutions in one {unit} "
+                f"({cats.pop()}); {hint}"
+            )
+    if single:
+        raise DegenerateTable(
+            "a cross-tabulation needs two categories on each side, but "
+            + "; and ".join(single)
+        )
+
+
+def _compare_report(sides, ordinals, heading, bold) -> str:
+    (label_a, *_), (label_b, *_) = sides
+    shared = sorted(set(label_a) & set(label_b))
+    _two_categories(sides, shared)
     ct = cmp_mod.crosstab(label_a, label_b)
     chi2 = cmp_mod.crosstab_chi_square(ct)
     dof = (len(ct.rows) - 1) * (len(ct.cols) - 1)
@@ -325,7 +383,6 @@ def _compare_report(label_a, label_b, ordinals, heading, bold) -> str:
     v = cmp_mod.cramers_v(ct)
     ph = cmp_mod.phi(ct)
 
-    shared = sorted(set(label_a) & set(label_b))
     if ordinals is not None:
         xs = [float(ordinals[0][n]) for n in shared]
         ys = [float(ordinals[1][n]) for n in shared]
@@ -357,27 +414,36 @@ def cmd_compare(args) -> int:
     if args.labels_a or args.labels_b:
         if not (args.labels_a and args.labels_b):
             raise MalformedRow(0, "--labels-a and --labels-b must be given together")
-        label_a = _read_labels(args.labels_a)
-        label_b = _read_labels(args.labels_b)
+        sides = [
+            (_read_labels(path), f"{flag} {path}", "category", "give it two or more")
+            for flag, path in (("--labels-a", args.labels_a), ("--labels-b", args.labels_b))
+        ]
         report = _compare_report(
-            label_a, label_b, None,
-            f"Association: {args.labels_a} vs {args.labels_b}", bold,
+            sides, None, f"Association: {args.labels_a} vs {args.labels_b}", bold,
         )
     elif args.split_by_country:
         records = _load_records(args)
         graph = _graph_for(args, records, args.criterion)
         tiers = _tier_labels(_grouping_for(args, graph))
         countries = {r.name: r.country for r in records}
+        sides = [
+            (countries, "the country labelling", "country",
+             "--split-by-country needs records from two or more countries"),
+            (tiers, *_tier_side("--criterion", args.criterion)),
+        ]
         report = _compare_report(
-            countries, tiers, None,
-            f"Association: country vs {args.criterion} tiers", bold,
+            sides, None, f"Association: country vs {args.criterion} tiers", bold,
         )
     else:
         records = _load_records(args)
         tiers_a = _tier_labels(_grouping_for(args, _graph_for(args, records, args.criterion)))
         tiers_b = _tier_labels(_grouping_for(args, _graph_for(args, records, args.criterion_b)))
+        sides = [
+            (tiers_a, *_tier_side("--criterion", args.criterion)),
+            (tiers_b, *_tier_side("--criterion-b", args.criterion_b)),
+        ]
         report = _compare_report(
-            tiers_a, tiers_b,
+            sides,
             (_tier_ordinals(tiers_a), _tier_ordinals(tiers_b)),
             f"Association: {args.criterion} tiers vs {args.criterion_b} tiers", bold,
         )

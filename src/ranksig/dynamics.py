@@ -11,6 +11,10 @@ A change in a published indicator between editions splits into a data
 effect (old edition minus the old value reconstructed under the current
 methodology) and a model effect (reconstructed old value minus the
 current value); the two effects add up to the total change exactly.
+
+numpy is imported inside ``bootstrap_interval``, not at module level, so
+``import ranksig`` and the commands that draw no replicates start without
+its import cost; ``TestStartup`` in ``tests/test_cli.py`` checks this.
 """
 
 import enum
@@ -19,8 +23,6 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
-
-import numpy as np
 
 from .errors import AmbiguousPeriodLabel, EmptyInstitution
 from .ingest import InstitutionRecord
@@ -81,7 +83,7 @@ def _stream_seed(seed: int, name: str) -> int:
     return int.from_bytes(digest[:16], "big")
 
 
-def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
+def _nearest_rank(sorted_values, q: float) -> float:
     """Nearest-rank percentile (no interpolation) of an ascending array."""
     n = len(sorted_values)
     idx = max(math.ceil(q * n), 1) - 1
@@ -103,6 +105,8 @@ def bootstrap_interval(
     the replicate shares. Bit-identical for a fixed seed regardless of
     evaluation order; the RNG is numpy's PCG64 seeded per institution.
     """
+    import numpy as np
+
     if rec.p < 1:
         raise EmptyInstitution(
             f"{rec.name}: need at least one publication to resample (p={rec.p})"

@@ -89,6 +89,10 @@ class UnknownInstitution(RanksigError):
     """A named institution is not present in the selected records."""
 
 
+class MixedSlices(RanksigError):
+    """The selected records span more than one (period, field, counting) slice."""
+
+
 # --- warnings (conditions that are reported but do not stop computation) ---
 
 class DegenerateTableWarning(UserWarning):

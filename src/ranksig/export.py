@@ -10,8 +10,6 @@ import io
 import json
 import math
 
-import numpy as np
-
 from .siggraph import SignificanceGraph
 
 __all__ = ["GRAPH_FORMATS", "render_graph", "write_dot", "write_pajek",
@@ -52,7 +50,7 @@ def write_pajek(g: SignificanceGraph) -> str:
     lines += [
         f"{i} {j} {w:.6f}"
         for i, j, w in zip((g.src + 1).tolist(), (g.dst + 1).tolist(),
-                           np.abs(g.z).tolist())
+                           abs(g.z).tolist())
     ]
     return "\n".join(lines) + "\n"
 
@@ -77,7 +75,7 @@ def write_vjson(g: SignificanceGraph) -> str:
         f'\n        "weight": {json.dumps(n.z)}\n      }}'
         for k, n in enumerate(g.nodes, 1)
     ]
-    strengths = map(_json_float, np.abs(g.z).tolist())
+    strengths = map(_json_float, abs(g.z).tolist())
     links = [
         f'\n      {{\n        "source_id": {i},\n        "strength": {w},'
         f'\n        "target_id": {j}\n      }}'

@@ -11,6 +11,11 @@ kept as a ``strong`` edge attribute rather than a directed arc.
 Everything here is deterministic: node and edge order are canonical
 (sorted by name), and the clustering uses a seeded node order, so results
 do not depend on input order or evaluation order.
+
+numpy is imported inside the functions that run array code, not at
+module level, so ``import ranksig`` and the commands that build no graph
+start without its import cost; ``TestStartup`` in ``tests/test_cli.py``
+checks this.
 """
 
 import enum
@@ -18,8 +23,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .errors import DuplicateRecord, InvalidStatistic, MissingInterval
 from .ingest import InstitutionRecord
@@ -80,7 +83,7 @@ _RELATIONS = (
 _RELATION_CODE = {rel: code for code, rel in enumerate(_RELATIONS)}
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def _frozen(a):
     a.flags.writeable = False
     return a
 
@@ -100,6 +103,8 @@ class SignificanceGraph:
     """
 
     def __init__(self, nodes: Iterable[GraphNode], edges: Iterable[GraphEdge]):
+        import numpy as np
+
         nodes = tuple(sorted(nodes, key=lambda n: n.name))
         index = {n.name: i for i, n in enumerate(nodes)}
         if len(index) != len(nodes):
@@ -164,6 +169,8 @@ class SignificanceGraph:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
+        import numpy as np
+
         return (
             self.nodes == other.nodes
             and np.array_equal(self.src, other.src)
@@ -226,6 +233,8 @@ class SignificanceGraph:
     def _adjacency(self) -> Tuple[List[int], List[int]]:
         """CSR adjacency as lists: node k's neighbours are
         ``indices[indptr[k]:indptr[k + 1]]``, in ascending index order."""
+        import numpy as np
+
         ends = np.concatenate((self.src, self.dst))
         others = np.concatenate((self.dst, self.src))
         order = np.lexsort((others, ends))
@@ -303,6 +312,8 @@ def build_graph(
     go through ``link_z`` itself, in name order: it warns and returns 0
     or raises DegeneratePool exactly as a pair-by-pair loop would.
     """
+    import numpy as np
+
     recs = sorted(records, key=lambda r: r.name)
     if len({r.name for r in recs}) != len(recs):
         raise DuplicateRecord("records passed to build_graph must have unique names")
@@ -430,6 +441,8 @@ def modularity(
     on unweighted edges. Defined as 0 for an edgeless graph. Q <= 1, and a
     partition into all singletons is never positive.
     """
+    import numpy as np
+
     _check_partition(g, partition)
     m = g.edge_count
     if m == 0:

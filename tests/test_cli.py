@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -147,6 +148,33 @@ class TestCompare:
         assert code == 2
         assert "share no institutions" in err
 
+    def test_one_country_is_named(self, capsys):
+        # the embedded trio is all CN: the crosstab would be 1x2
+        code, out, err = run(capsys, "compare", "--split-by-country")
+        assert code == 2
+        assert out == ""
+        assert "the country labelling puts all 3 institutions in one country (CN)" in err
+        assert "table must be" not in err
+
+    def test_one_tier_under_both_criteria_is_named(self, capsys, tmp_path):
+        # near-equal shares and overlapping intervals: one tier either way, a 1x1 crosstab
+        recs = [
+            make_record(name=f"U{i}", p=1000.0, pp=0.100 + i / 1000, ci=(0.08, 0.12))
+            for i in range(4)
+        ]
+        path = tmp_path / "flat.csv"
+        path.write_text(dump_records(recs))
+        code, out, err = run(
+            capsys, "compare", "--input", str(path), "--criterion", "ztest",
+            "--criterion-b", "ci",
+        )
+        assert code == 2
+        assert out == ""
+        assert "the ztest grouping (--criterion ztest) puts all 4 institutions in one tier" in err
+        assert "the ci grouping (--criterion-b ci) puts all 4 institutions in one tier" in err
+        assert "--alpha" in err
+        assert "table must be" not in err
+
     def test_split_by_country(self, capsys, tmp_path):
         recs = [
             make_record(name=f"CN{i}", country="CN", p=5000.0, pp=0.08 + i / 200)
@@ -242,6 +270,41 @@ class TestExport:
         assert row["strong"] == "false"
 
 
+class TestOneSlice:
+    """Records from two periods must not be mixed by any command."""
+
+    @pytest.fixture
+    def two_periods(self, tmp_path):
+        trio = ranksig.data.trio_records()
+        earlier = [dataclasses.replace(r, period="2014-2017") for r in trio]
+        path = tmp_path / "two.csv"
+        path.write_text(dump_records(trio + earlier))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ("pairwise", "Tsinghua University", "Peking University"),
+        ("group",),
+        ("compare",),
+        ("compare", "--split-by-country"),
+        ("bootstrap", "--name", "Peking University", "--draws", "10"),
+        ("zcurve",),
+        ("export",),
+    ])
+    def test_mixed_slices_exit_2(self, capsys, two_periods, argv):
+        code, out, err = run(capsys, *argv, "--input", two_periods)
+        assert code == 2
+        assert out == ""
+        assert "span 2 slices" in err
+        assert "--period, --field and --counting" in err
+        assert "period='2014-2017', field='All sciences', counting=frac (3 records)" in err
+        assert "period='2015-2018', field='All sciences', counting=frac (3 records)" in err
+
+    def test_selected_slice_matches_embedded_run(self, capsys, two_periods):
+        code, out, _ = run(capsys, "zcurve", "--input", two_periods, "--period", "2015-2018")
+        assert code == 0
+        assert out == run(capsys, "zcurve")[1]
+
+
 class TestErrorPaths:
     def test_missing_input_file_is_user_error(self, capsys):
         code, _, err = run(capsys, "group", "--input", "/nonexistent/file.csv")
@@ -270,15 +333,50 @@ class TestErrorPaths:
         assert code == 2
 
 
+def _loaded_after(statement):
+    """Which of numpy and scipy are in sys.modules after ``statement`` runs in a new process."""
+    src = str(Path(ranksig.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env["RANKSIG_NO_COLOR"] = "1"
+    script = (
+        "import sys\n"
+        f"{statement}\n"
+        'print(" ".join(m for m in ("numpy", "scipy") if m in sys.modules))\n'
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1].split()
+
+
+def _main_exits_0(*argv):
+    return f"from ranksig.cli import main; assert main({list(argv)!r}) == 0"
+
+
 class TestStartup:
     def test_import_does_not_load_scipy(self):
         # importing scipy.stats took about 1.1 s of every CLI call
-        src = str(Path(ranksig.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        result = subprocess.run(
-            [sys.executable, "-c",
-             'import ranksig.cli, sys; assert "scipy" not in sys.modules'],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
+        assert "scipy" not in _loaded_after("import ranksig.cli")
+
+    # importing numpy takes about 0.1-0.15 s, most of what is left of start-up;
+    # commands that run no array code must not pay it
+    @pytest.mark.parametrize("statement", [
+        "import ranksig",
+        "import ranksig.cli",
+        _main_exits_0("pairwise", "Tsinghua University", "Zhejiang University"),
+        _main_exits_0("decompose", "9.81", "9.54", "9.03"),
+        _main_exits_0("zcurve"),
+    ], ids=["import-ranksig", "import-cli", "pairwise", "decompose", "zcurve"])
+    def test_numpy_not_loaded(self, statement):
+        assert "numpy" not in _loaded_after(statement)
+
+    # the same probe sees numpy where array code runs
+    @pytest.mark.parametrize("statement", [
+        _main_exits_0("bootstrap", "--name", "Peking University", "--draws", "10"),
+        _main_exits_0("group"),
+    ], ids=["bootstrap", "group"])
+    def test_numpy_loaded_where_arrays_run(self, statement):
+        assert "numpy" in _loaded_after(statement)

@@ -3,7 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ranksig import data
 from ranksig.errors import DegeneratePoolWarning, EmptyInstitution, MissingInterval
 from ranksig.siggraph import (
     Criterion,
@@ -11,6 +13,7 @@ from ranksig.siggraph import (
     GraphNode,
     Grouping,
     SignificanceGraph,
+    _louvain,
     build_graph,
     cluster,
     modularity,
@@ -297,6 +300,119 @@ class TestCluster:
             again = cluster(g, seed=11)
             assert again.assignment == first.assignment
             assert again.group_order == first.group_order
+
+
+def nx_modularity(g, grouping, resolution):
+    """Modularity of the same partition as networkx computes it."""
+    nx = pytest.importorskip("networkx")
+    G = nx.Graph()
+    G.add_nodes_from(g.names)
+    G.add_edges_from(
+        (g.names[i], g.names[j]) for i, j in zip(g.src.tolist(), g.dst.tolist())
+    )
+    communities = [set(members) for members in grouping.groups()]
+    return nx.community.modularity(G, communities, resolution=resolution)
+
+
+def partitions_of(g, rng):
+    """Weak components, Louvain, all singletons and a random labelling of g."""
+    names = g.names
+    k = int(rng.integers(1, len(names) + 1))
+    labels = {n: int(rng.integers(0, k)) for n in names}
+    return [
+        weak_components(g),
+        cluster(g, seed=int(rng.integers(0, 100))),
+        Grouping(
+            assignment={n: i for i, n in enumerate(names)},
+            group_order=tuple(range(len(names))),
+        ),
+        Grouping(assignment=labels, group_order=tuple(sorted(set(labels.values())))),
+    ]
+
+
+class TestModularityOracle:
+    """modularity() against networkx.algorithms.community.modularity."""
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(53)
+        checked = 0
+        for _ in range(40):
+            g = random_graph(rng, max_nodes=40)
+            if not g.edge_count:
+                continue  # networkx divides by the edge count
+            for grouping in partitions_of(g, rng):
+                for resolution in (0.5, 1.0, 2.0):
+                    assert modularity(g, grouping, resolution) == pytest.approx(
+                        nx_modularity(g, grouping, resolution), abs=1e-12
+                    )
+                    checked += 1
+        assert checked > 300
+
+    def test_published_tier_fixture(self):
+        # the fixture carries node z only: join institutions whose z differ by under 1
+        tiers = data.china_tiers()
+        g = SignificanceGraph.from_scores(
+            [(r.name, r.z) for r in tiers],
+            [(a.name, b.name) for a, b in itertools.combinations(tiers, 2)
+             if abs(a.z - b.z) < 1.0],
+        )
+        gid = {"top": 0, "middle": 1, "bottom": 2}
+        published = Grouping(
+            assignment={r.name: gid[r.tier] for r in tiers}, group_order=(0, 1, 2)
+        )
+        for grouping in (published, *partitions_of(g, np.random.default_rng(59))):
+            for resolution in (0.5, 1.0, 2.0):
+                assert modularity(g, grouping, resolution) == pytest.approx(
+                    nx_modularity(g, grouping, resolution), abs=1e-12
+                )
+
+
+@st.composite
+def graphs(draw, max_nodes=24):
+    """Small graphs with any edge density, named so that name order is index order."""
+    n = draw(st.integers(1, max_nodes))
+    names = [f"n{i:02d}" for i in range(n)]
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.sets(st.tuples(ends, ends).filter(lambda p: p[0] < p[1]),
+                         max_size=n * (n - 1) // 2))
+    z = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    return SignificanceGraph.from_scores(
+        [(name, float(v)) for name, v in zip(names, z)],
+        [(names[a], names[b]) for a, b in pairs],
+    )
+
+
+def louvain_of(g, seed):
+    adj = {n: dict.fromkeys(nbrs, 1.0) for n, nbrs in g.neighbors().items()}
+    return _louvain(adj, 1.0, seed)
+
+
+class TestLouvainInvariants:
+    """The promises of _louvain and cluster over generated graphs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(), st.integers(0, 2**32 - 1))
+    def test_seed_determinism(self, g, seed):
+        assert louvain_of(g, seed) == louvain_of(g, seed)
+        first, again = cluster(g, seed=seed), cluster(g, seed=seed)
+        assert again.assignment == first.assignment
+        assert again.group_order == first.group_order
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(), st.integers(0, 2**32 - 1))
+    def test_clusters_inside_weak_components(self, g, seed):
+        weak = weak_components(g).assignment
+        clusters = {}
+        for name, c in louvain_of(g, seed).items():
+            clusters.setdefault(c, set()).add(weak[name])
+        assert all(len(comps) == 1 for comps in clusters.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(), st.integers(0, 2**32 - 1), st.sampled_from((0.5, 1.0, 2.0)))
+    def test_never_below_weak_components(self, g, seed, resolution):
+        fine = cluster(g, resolution=resolution, seed=seed)
+        weak = weak_components(g)
+        assert modularity(g, fine, resolution) >= modularity(g, weak, resolution) - 1e-12
 
 
 class TestRankGroups:
