@@ -18,6 +18,7 @@ import csv
 import io
 import os
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -26,7 +27,9 @@ from . import compare as cmp_mod
 from . import data as data_mod
 from . import dynamics, stats
 from .errors import (
+    DegeneratePoolWarning,
     DegenerateTable,
+    DegenerateTableWarning,
     DuplicateRecord,
     MalformedRow,
     MixedSlices,
@@ -35,7 +38,8 @@ from .errors import (
     RanksigError,
     UnknownInstitution,
 )
-from .export import GRAPH_FORMATS, render_graph
+# render_graph is unused here, but bench/spans.py traces it under this module
+from .export import GRAPH_FORMATS, render_graph, write_graph  # noqa: F401
 from .ingest import (
     Counting,
     DatasetSelector,
@@ -335,7 +339,8 @@ def cmd_group(args) -> int:
         _emit(_group_tables_text(tables, _styler(plain=False)), None)
 
     if args.graph_out:
-        _emit(render_graph(graph, args.format), args.graph_out)
+        write_graph(graph, args.format, args.graph_out)
+        print(f"wrote {args.graph_out}", file=sys.stderr)
     return 0
 
 
@@ -514,7 +519,9 @@ def cmd_zcurve(args) -> int:
 def cmd_export(args) -> int:
     records = _load_records(args)
     graph = _graph_for(args, records, args.criterion)
-    _emit(render_graph(graph, args.format), args.out)
+    write_graph(graph, args.format, args.out or None)
+    if args.out:
+        print(f"wrote {args.out}", file=sys.stderr)
     return 0
 
 
@@ -607,14 +614,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Warned once per pair or table: counted, then reported on one line per kind.
+_COUNTED_WARNINGS = (DegeneratePoolWarning, DegenerateTableWarning)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    counted: Dict[type, list] = {}  # kind -> [count, first message]
     try:
-        return args.func(args) or 0
+        with warnings.catch_warnings():
+            show = warnings.showwarning
+
+            def count(message, category, *rest, **kwargs):
+                if issubclass(category, _COUNTED_WARNINGS):
+                    counted.setdefault(category, [0, message])[0] += 1
+                else:
+                    show(message, category, *rest, **kwargs)
+            warnings.showwarning = count
+            for kind in _COUNTED_WARNINGS:
+                warnings.simplefilter("always", kind)
+            return args.func(args) or 0
     except RanksigError as exc:
         print(f"ranksig: error: {exc}", file=sys.stderr)
         return 2
@@ -627,6 +650,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"ranksig: internal error: {exc!r}", file=sys.stderr)
         return 1
+    finally:
+        for kind, (n, message) in counted.items():
+            print(f"ranksig: warning: {n} x {kind.__name__}: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -1,67 +1,104 @@
 """Graph file writers: DOT, Pajek, VOSviewer-style JSON, and edge-list CSV.
 
-All writers are deterministic string builders over the canonical node and
-edge order of a SignificanceGraph, so repeated exports of the same graph
-are byte-identical.
+Each format is a private generator of text chunks in the canonical order
+of a SignificanceGraph, one block of ``_EDGE_BLOCK`` edges per chunk:
+``write_graph`` streams them, the other writers join them into a string.
 """
 
 import csv
 import io
 import json
-import math
+import sys
 
 from .siggraph import SignificanceGraph
 
-__all__ = ["GRAPH_FORMATS", "render_graph", "write_dot", "write_pajek",
+__all__ = ["GRAPH_FORMATS", "render_graph", "write_graph", "write_dot", "write_pajek",
            "write_vjson", "write_edge_csv"]
 
 GRAPH_FORMATS = ("csv", "dot", "pajek", "vjson")
+_EDGE_BLOCK = 1 << 10  # edges per chunk
 
 
-def _edge_rows(g: SignificanceGraph):
-    """(src, dst, z, strong) of every edge as Python values, in canonical order."""
-    return zip(g.src.tolist(), g.dst.tolist(), g.z.tolist(), g.strong.tolist())
+def _blocks(g: SignificanceGraph):
+    return (slice(k, k + _EDGE_BLOCK) for k in range(0, g.edge_count, _EDGE_BLOCK))
+
+
+def _fill(template: str, *columns: list) -> str:
+    """``template`` once per row of the equal-length ``columns``, in one ``%`` pass."""
+    flat = [None] * (len(columns) * len(columns[0]))
+    for k, column in enumerate(columns):
+        flat[k::len(columns)] = column
+    return (template * len(columns[0])) % tuple(flat)
 
 
 def _dot_quote(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def write_dot(g: SignificanceGraph) -> str:
-    """Undirected DOT graph with z node attributes."""
+def _dot_chunks(g: SignificanceGraph):
     quoted = [_dot_quote(name) for name in g.names]
     strong_attr = ("", ", strong=true")
-    lines = ["graph ranksig {"]
-    lines += [f"  {q} [z={node.z:.6f}];" for q, node in zip(quoted, g.nodes)]
-    lines += [
-        f"  {quoted[i]} -- {quoted[j]} [z={z:.6f}{strong_attr[strong]}];"
-        for i, j, z, strong in _edge_rows(g)
-    ]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield "graph ranksig {\n" + _fill("  %s [z=%.6f];\n", quoted, [n.z for n in g.nodes])
+    for s in _blocks(g):
+        yield _fill("  %s -- %s [z=%.6f%s];\n", [quoted[i] for i in g.src[s].tolist()],
+                    [quoted[j] for j in g.dst[s].tolist()], g.z[s].tolist(),
+                    [strong_attr[f] for f in g.strong[s].tolist()])
+    yield "}\n"
+
+
+def _pajek_chunks(g: SignificanceGraph):
+    labels = [name.replace('"', "'") for name in g.names]
+    yield (f"*Vertices {len(g.nodes)}\n"
+           + _fill('%d "%s"\n', list(range(1, len(labels) + 1)), labels) + "*Edges\n")
+    for s in _blocks(g):
+        yield _fill("%d %d %.6f\n", (g.src[s] + 1).tolist(), (g.dst[s] + 1).tolist(),
+                    abs(g.z[s]).tolist())
+
+
+_VJSON_ITEM = ',\n      {\n        "id": %d,\n        "label": %s,\n        "weight": %s\n      }'
+_VJSON_LINK = (',\n      {\n        "source_id": %d,\n        "strength": %s,'
+               '\n        "target_id": %d\n      }')
+
+
+def _vjson_chunks(g: SignificanceGraph):
+    # every entry starts with a comma; the first one of a list opens it instead
+    items = _fill(_VJSON_ITEM, list(range(1, len(g.nodes) + 1)),
+                  [json.dumps(n.name) for n in g.nodes], [json.dumps(n.z) for n in g.nodes])
+    yield ('{\n  "network": {\n    "items": ' + ("[" + items[1:] + "\n    ]" if items else "[]")
+           + ',\n    "links": ' + ("" if g.edge_count else "[]"))
+    for s in _blocks(g):
+        # json writes repr for finite floats and NaN/Infinity otherwise, in one C pass
+        links = _fill(_VJSON_LINK, (g.src[s] + 1).tolist(),
+                      json.dumps(abs(g.z[s]).tolist())[1:-1].split(", "), (g.dst[s] + 1).tolist())
+        yield "[" + links[1:] if s.start == 0 else links
+    yield ("\n    ]" if g.edge_count else "") + "\n  }\n}\n"
+
+
+def _csv_field(value: str) -> str:
+    """``value`` quoted as csv.writer quotes a field of a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((value, ""))
+    return buf.getvalue()[:-2]
+
+
+def _edge_csv_chunks(g: SignificanceGraph):
+    fields = [_csv_field(name) for name in g.names]
+    flags = ("false", "true")
+    yield "source,target,z,strong\n"
+    for s in _blocks(g):
+        yield _fill("%s,%s,%r,%s\n", [fields[i] for i in g.src[s].tolist()],
+                    [fields[j] for j in g.dst[s].tolist()], g.z[s].tolist(),
+                    [flags[f] for f in g.strong[s].tolist()])
+
+
+def write_dot(g: SignificanceGraph) -> str:
+    """Undirected DOT graph with z node attributes."""
+    return "".join(_dot_chunks(g))
 
 
 def write_pajek(g: SignificanceGraph) -> str:
     """Pajek network: *Vertices with 1-based ids, then *Edges with |z| weights."""
-    labels = [name.replace('"', "'") for name in g.names]
-    lines = [f"*Vertices {len(g.nodes)}"]
-    lines += [f'{k} "{label}"' for k, label in enumerate(labels, 1)]
-    lines.append("*Edges")
-    lines += [
-        f"{i} {j} {w:.6f}"
-        for i, j, w in zip((g.src + 1).tolist(), (g.dst + 1).tolist(),
-                           abs(g.z).tolist())
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _json_float(x: float) -> str:
-    """A float as the json module writes it (NaN and infinities included)."""
-    return repr(x) if math.isfinite(x) else json.dumps(x)
-
-
-def _json_list(entries: list) -> str:
-    return "[" + ",".join(entries) + "\n    ]" if entries else "[]"
+    return "".join(_pajek_chunks(g))
 
 
 def write_vjson(g: SignificanceGraph) -> str:
@@ -70,43 +107,31 @@ def write_vjson(g: SignificanceGraph) -> str:
     The text is what ``json.dumps(doc, indent=2, sort_keys=True)`` writes
     for the document, filled into a fixed template.
     """
-    items = [
-        f'\n      {{\n        "id": {k},\n        "label": {json.dumps(n.name)},'
-        f'\n        "weight": {json.dumps(n.z)}\n      }}'
-        for k, n in enumerate(g.nodes, 1)
-    ]
-    strengths = map(_json_float, abs(g.z).tolist())
-    links = [
-        f'\n      {{\n        "source_id": {i},\n        "strength": {w},'
-        f'\n        "target_id": {j}\n      }}'
-        for i, j, w in zip((g.src + 1).tolist(), (g.dst + 1).tolist(), strengths)
-    ]
-    return (
-        '{\n  "network": {\n    "items": ' + _json_list(items)
-        + ',\n    "links": ' + _json_list(links) + "\n  }\n}\n"
-    )
+    return "".join(_vjson_chunks(g))
 
 
 def write_edge_csv(g: SignificanceGraph) -> str:
     """Edge list CSV (isolated nodes do not appear; use the rank tables for nodes)."""
-    names = g.names
-    flags = ("false", "true")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["source", "target", "z", "strong"])
-    writer.writerows(
-        (names[i], names[j], repr(z), flags[strong]) for i, j, z, strong in _edge_rows(g)
-    )
-    return buf.getvalue()
+    return "".join(_edge_csv_chunks(g))
+
+
+def _chunks(g: SignificanceGraph, fmt: str):
+    chunks = {"csv": _edge_csv_chunks, "dot": _dot_chunks, "pajek": _pajek_chunks,
+              "vjson": _vjson_chunks}.get(fmt)
+    if chunks is None:
+        raise ValueError(f"unknown graph format {fmt!r}; expected one of {GRAPH_FORMATS}")
+    return chunks(g)
 
 
 def render_graph(g: SignificanceGraph, fmt: str) -> str:
-    if fmt == "dot":
-        return write_dot(g)
-    if fmt == "pajek":
-        return write_pajek(g)
-    if fmt == "vjson":
-        return write_vjson(g)
-    if fmt == "csv":
-        return write_edge_csv(g)
-    raise ValueError(f"unknown graph format {fmt!r}; expected one of {GRAPH_FORMATS}")
+    return "".join(_chunks(g, fmt))
+
+
+def write_graph(g: SignificanceGraph, fmt: str, out=None) -> None:
+    """Write ``render_graph(g, fmt)`` chunk by chunk to the file ``out``, or to stdout."""
+    chunks = _chunks(g, fmt)
+    if out is None:
+        sys.stdout.writelines(chunks)
+    else:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)

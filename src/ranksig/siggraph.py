@@ -230,26 +230,15 @@ class SignificanceGraph:
     def node_z(self) -> Dict[str, float]:
         return {n.name: n.z for n in self.nodes}
 
-    def _adjacency(self) -> Tuple[List[int], List[int]]:
-        """CSR adjacency as lists: node k's neighbours are
-        ``indices[indptr[k]:indptr[k + 1]]``, in ascending index order."""
-        import numpy as np
-
-        ends = np.concatenate((self.src, self.dst))
-        others = np.concatenate((self.dst, self.src))
-        order = np.lexsort((others, ends))
-        indptr = np.zeros(len(self.nodes) + 1, dtype=np.intp)
-        np.cumsum(np.bincount(ends, minlength=len(self.nodes)), out=indptr[1:])
-        return indptr.tolist(), others[order].tolist()
-
     def neighbors(self) -> Dict[str, List[str]]:
-        """Name -> neighbour names, each list in ascending name order."""
+        """Name -> neighbour names, each list in ascending name order (edges come
+        in (src, dst) order: a node meets its lower neighbours first, as dst)."""
         names = self.names
-        indptr, indices = self._adjacency()
-        return {
-            name: [names[j] for j in indices[indptr[k]:indptr[k + 1]]]
-            for k, name in enumerate(names)
-        }
+        out: Dict[str, List[str]] = {name: [] for name in names}
+        for i, j in zip(self.src.tolist(), self.dst.tolist()):
+            out[names[i]].append(names[j])
+            out[names[j]].append(names[i])
+        return out
 
 
 @dataclass(frozen=True)
@@ -401,29 +390,29 @@ def weak_components(g: SignificanceGraph) -> Grouping:
 
     Degree-zero nodes are isolates: their own singleton groups, listed
     after the regular tiers.
+
+    Min-label hooking and pointer jumping on the edge arrays.
     """
-    names = g.names
-    indptr, indices = g._adjacency()
-    seen = [False] * len(names)
-    components = []
-    for start in range(len(names)):
-        if seen[start]:
-            continue
-        stack = [start]
-        comp = []
-        seen[start] = True
-        while stack:
-            k = stack.pop()
-            comp.append(names[k])
-            for m in indices[indptr[k]:indptr[k + 1]]:
-                if not seen[m]:
-                    seen[m] = True
-                    stack.append(m)
-        components.append(comp)
-    isolates = frozenset(
-        name for k, name in enumerate(names) if indptr[k] == indptr[k + 1]
-    )
-    return _make_grouping(components, g.node_z, isolates)
+    import numpy as np
+
+    n = len(g.nodes)
+    label = np.arange(n)
+    while True:
+        a, b = label[g.src], label[g.dst]
+        if np.array_equal(a, b):
+            break
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    components: Dict[int, List[str]] = {}
+    for name, root in zip(g.names, label.tolist()):
+        components.setdefault(root, []).append(name)
+    degree = np.bincount(np.concatenate((g.src, g.dst)), minlength=n)
+    isolates = frozenset(name for name, d in zip(g.names, degree.tolist()) if d == 0)
+    return _make_grouping(components.values(), g.node_z, isolates)
 
 
 def _check_partition(g: SignificanceGraph, grouping: Grouping) -> None:

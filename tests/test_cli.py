@@ -1,15 +1,18 @@
 import csv
 import dataclasses
+import importlib
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import ranksig
+from ranksig import cli
 from ranksig.cli import main
 from ranksig.ingest import dump_records
 
@@ -333,21 +336,26 @@ class TestErrorPaths:
         assert code == 2
 
 
-def _loaded_after(statement):
-    """Which of numpy and scipy are in sys.modules after ``statement`` runs in a new process."""
+def _python(*args, cwd=None):
+    """``python *args`` in a new process that imports this checkout of ranksig."""
     src = str(Path(ranksig.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     env["RANKSIG_NO_COLOR"] = "1"
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def _loaded_after(statement):
+    """Which of numpy and scipy are in sys.modules after ``statement`` runs in a new process."""
     script = (
         "import sys\n"
         f"{statement}\n"
         'print(" ".join(m for m in ("numpy", "scipy") if m in sys.modules))\n'
     )
-    result = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    result = _python("-c", script)
     assert result.returncode == 0, result.stderr
     return result.stdout.splitlines()[-1].split()
 
@@ -380,3 +388,68 @@ class TestStartup:
     ], ids=["bootstrap", "group"])
     def test_numpy_loaded_where_arrays_run(self, statement):
         assert "numpy" in _loaded_after(statement)
+
+
+class TestCountedWarnings:
+    """Degenerate pairs and tables are counted on one stderr line per kind."""
+
+    @pytest.fixture
+    def degenerate(self, tmp_path):
+        # A, B and D publish no top-10% papers: each of their three pairs
+        # has a pooled proportion of 0
+        path = tmp_path / "degenerate.csv"
+        path.write_text(dump_records([
+            make_record(name="A", t=0.0, pp=0.0),
+            make_record(name="B", t=0.0, pp=0.0),
+            make_record(name="C", pp=0.2),
+            make_record(name="D", t=0.0, pp=0.0),
+        ]))
+        return str(path)
+
+    def test_degenerate_pool(self, tmp_path, degenerate):
+        result = _python("-m", "ranksig.cli", "group", "--input", degenerate, cwd=tmp_path)
+        assert result.returncode == 0
+        assert result.stderr == (
+            "4 institutions, 3 edges, 1 groups, 1 isolates\n"
+            "ranksig: warning: 3 x DegeneratePoolWarning: identical proportions "
+            "over a degenerate pool: z defined as 0\n"
+        )
+
+    def test_degenerate_table_before_an_error(self, tmp_path, degenerate):
+        result = _python("-m", "ranksig.cli", "pairwise", "--input", degenerate, "A", "B",
+                         cwd=tmp_path)
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            "ranksig: error: expected cell ('A', 'top10') is zero",
+            "ranksig: warning: 2 x DegenerateTableWarning: table has a zero row or "
+            "column total; expected cells there are zero",
+        ]
+
+    def test_stderr_unchanged_without_degenerate_pairs(self, tmp_path):
+        result = _python("-m", "ranksig.cli", "group", cwd=tmp_path)
+        assert result.returncode == 0
+        assert result.stderr == "3 institutions, 1 edges, 1 groups, 1 isolates\n"
+
+    def test_other_warnings_pass_through(self, capsys, monkeypatch):
+        def cmd_zcurve(args):
+            warnings.warn("unrelated", RuntimeWarning)
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_zcurve", cmd_zcurve)
+        with pytest.warns(RuntimeWarning, match="unrelated"):
+            code, _, err = run(capsys, "zcurve")
+        assert code == 0 and err == ""
+
+
+class TestBenchTracerHooks:
+    def test_traced_names_exist(self, monkeypatch):
+        # bench/spans.py patches these (module, attribute) pairs; a missing
+        # one makes ``bench/run.py --trace 1`` raise AttributeError
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        if not (bench / "spans.py").is_file():
+            pytest.skip("no bench/ directory in this tree")
+        monkeypatch.syspath_prepend(str(bench))
+        spans = importlib.import_module("spans")
+        for module_name, attr, _ in spans.SPANS + spans.COUNTED:
+            module = importlib.import_module(module_name)
+            assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"

@@ -4,18 +4,31 @@ The references are the writers as they were before they read the edge
 arrays: string builders over ``g.nodes`` and ``g.edges`` and, for vjson,
 ``json.dumps(doc, indent=2, sort_keys=True)``. Every writer must give the
 same bytes on graphs built by build_graph and on graphs built from
-user-supplied edges.
+user-supplied edges, whatever the edge count is against the writers'
+edge block, and ``write_graph`` must stream those bytes to a file or
+stdout without holding the whole text.
 """
 
 import csv
 import io
+import itertools
 import json
 import math
+import tracemalloc
 
 import pytest
 
-from ranksig.export import write_dot, write_edge_csv, write_pajek, write_vjson
-from ranksig.siggraph import Criterion, SignificanceGraph, build_graph
+from ranksig import export
+from ranksig.export import (
+    GRAPH_FORMATS,
+    render_graph,
+    write_dot,
+    write_edge_csv,
+    write_graph,
+    write_pajek,
+    write_vjson,
+)
+from ranksig.siggraph import Criterion, GraphEdge, SignificanceGraph, build_graph
 
 from conftest import make_record
 
@@ -131,3 +144,67 @@ def test_fixtures_cover_the_cases():
     assert any(e.z < 0 for e in user.edges)
     assert '"links": []' in write_vjson(GRAPHS["edgeless"]())
     assert '"items": []' in write_vjson(GRAPHS["empty"]())
+
+
+@pytest.mark.parametrize("fmt", GRAPH_FORMATS)
+@pytest.mark.parametrize("graph", list(GRAPHS), ids=str)
+def test_write_graph_streams_render_graph(fmt, graph, tmp_path, capsys):
+    g = GRAPHS[graph]()
+    text = render_graph(g, fmt)
+    path = tmp_path / f"graph.{fmt}"
+    write_graph(g, fmt, path)
+    assert path.read_bytes() == text.encode("utf-8")
+    capsys.readouterr()
+    write_graph(g, fmt)
+    assert capsys.readouterr().out == text
+
+
+def test_unknown_format_writes_nothing(tmp_path):
+    g = GRAPHS["z criterion, odd labels"]()
+    with pytest.raises(ValueError, match="unknown graph format"):
+        write_graph(g, "graphml", tmp_path / "graph.xml")
+    assert not (tmp_path / "graph.xml").exists()
+
+
+BLOCK = 4
+
+
+def graph_with_edges(count):
+    """Six user-built nodes and the first ``count`` of their pairs as edges."""
+    names = ["a", "b", 'c "q"', "d, e", "f\\g", "h"]
+    zs = [-2.5, 0.0, 1e-300, -0.0, math.inf, math.nan, 3.125, -1.0]
+    edges = [
+        GraphEdge(a, b, zs[k % len(zs)], strong=k % 3 == 0)
+        for k, (a, b) in enumerate(itertools.combinations(sorted(names), 2))
+    ]
+    return SignificanceGraph.from_scores(
+        [(name, 0.5 * k) for k, name in enumerate(names)], edges[:count]
+    )
+
+
+@pytest.mark.parametrize("writer, reference", WRITERS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+def test_edge_counts_around_the_block(writer, reference, count, monkeypatch):
+    monkeypatch.setattr(export, "_EDGE_BLOCK", BLOCK)
+    g = graph_with_edges(count)
+    assert g.edge_count == count
+    assert writer(g) == reference(g)
+
+
+def test_vjson_stream_memory_is_bounded(tmp_path):
+    # 600 institutions with near-equal shares: most of the 179,700 pairs are edges
+    records = [
+        make_record(name=f"Univ {k:03d}", p=1000.0 + 7 * k, pp=0.1 + 1e-5 * (k % 97))
+        for k in range(600)
+    ]
+    g = build_graph(records)
+    path = tmp_path / "graph.json"
+    tracemalloc.start()
+    try:
+        write_graph(g, "vjson", path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert g.edge_count > 100_000
+    assert peak < size / 8, (peak, size)

@@ -14,6 +14,7 @@ from ranksig.siggraph import (
     Grouping,
     SignificanceGraph,
     _louvain,
+    _make_grouping,
     build_graph,
     cluster,
     modularity,
@@ -413,6 +414,118 @@ class TestLouvainInvariants:
         fine = cluster(g, resolution=resolution, seed=seed)
         weak = weak_components(g)
         assert modularity(g, fine, resolution) >= modularity(g, weak, resolution) - 1e-12
+
+
+def dfs_components(g):
+    """weak_components as a stack DFS over adjacency lists: the reference."""
+    names = g.names
+    index = {name: k for k, name in enumerate(names)}
+    adjacency = [[] for _ in names]
+    for e in g.edges:
+        adjacency[index[e.a]].append(index[e.b])
+        adjacency[index[e.b]].append(index[e.a])
+    seen = [False] * len(names)
+    components = []
+    for start in range(len(names)):
+        if seen[start]:
+            continue
+        stack = [start]
+        comp = []
+        seen[start] = True
+        while stack:
+            k = stack.pop()
+            comp.append(names[k])
+            for m in adjacency[k]:
+                if not seen[m]:
+                    seen[m] = True
+                    stack.append(m)
+        components.append(comp)
+    isolates = frozenset(name for k, name in enumerate(names) if not adjacency[k])
+    return _make_grouping(components, g.node_z, isolates)
+
+
+@st.composite
+def component_graphs(draw, max_nodes=60):
+    """Graphs with planted components: each one a path through its members in
+    a shuffled order, plus random chords inside it; singletons are isolates."""
+    n = draw(st.integers(0, max_nodes))
+    names = [f"n{i:02d}" for i in range(n)]
+    comp = draw(st.lists(st.integers(0, draw(st.integers(0, n))), min_size=n, max_size=n))
+    edges, last = set(), {}
+    for v in draw(st.permutations(range(n))):
+        if comp[v] in last:
+            edges.add((min(last[comp[v]], v), max(last[comp[v]], v)))
+        last[comp[v]] = v
+    ends = st.integers(0, max(0, n - 1))
+    chords = draw(st.sets(st.tuples(ends, ends), max_size=2 * n))
+    edges |= {(min(a, b), max(a, b)) for a, b in chords if a != b and comp[a] == comp[b]}
+    z = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    return SignificanceGraph.from_scores(
+        [(name, float(v)) for name, v in zip(names, z)],
+        [(names[a], names[b]) for a, b in edges],
+    )
+
+
+def shuffled_path(n, seed):
+    """A path through n nodes visited in a random name order."""
+    order = np.random.default_rng(seed).permutation(n).tolist()
+    names = [f"v{i:05d}" for i in range(n)]
+    return SignificanceGraph.from_scores(
+        [(name, float(i % 7)) for i, name in enumerate(names)],
+        [(names[a], names[b]) for a, b in zip(order, order[1:])],
+    )
+
+
+def assert_same_grouping(got, want):
+    assert got == want
+    assert list(got.assignment) == list(want.assignment)
+
+
+class TestWeakComponentsOracle:
+    """weak_components against the stack DFS it replaced, and networkx."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(component_graphs())
+    def test_planted_components(self, g):
+        assert_same_grouping(weak_components(g), dfs_components(g))
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs())
+    def test_random_graphs(self, g):
+        assert_same_grouping(weak_components(g), dfs_components(g))
+
+    @pytest.mark.parametrize("n, seed", [(0, 0), (1, 0), (2, 1), (2000, 2), (2000, 3)])
+    def test_long_shuffled_path(self, n, seed):
+        g = shuffled_path(n, seed)
+        grouping = weak_components(g)
+        assert_same_grouping(grouping, dfs_components(g))
+        assert len(grouping.groups()) == (1 if n else 0)
+
+    def test_networkx_connected_components(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(67)
+        for _ in range(30):
+            g = random_graph(rng, max_nodes=80)
+            G = nx.Graph()
+            G.add_nodes_from(g.names)
+            G.add_edges_from((g.names[i], g.names[j])
+                             for i, j in zip(g.src.tolist(), g.dst.tolist()))
+            grouping = weak_components(g)
+            assert set(grouping.groups()) == {
+                tuple(sorted(c)) for c in nx.connected_components(G)
+            }
+            assert grouping.isolates == frozenset(n for n, d in G.degree if d == 0)
+
+
+class TestNeighbors:
+    @settings(max_examples=200, deadline=None)
+    @given(graphs())
+    def test_ascending_lists_of_both_ends(self, g):
+        want = {name: [] for name in g.names}
+        for e in g.edges:
+            want[e.a].append(e.b)
+            want[e.b].append(e.a)
+        assert g.neighbors() == {name: sorted(v) for name, v in want.items()}
 
 
 class TestRankGroups:
