@@ -28,7 +28,7 @@ from .dynamics import (
     series_view,
 )
 from .errors import RanksigError
-from .export import render_graph, write_dot, write_edge_csv, write_pajek, write_vjson
+from .export import render_graph, write_graph
 from .ingest import (
     Counting,
     DatasetSelector,

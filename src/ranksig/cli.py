@@ -38,12 +38,14 @@ from .errors import (
     RanksigError,
     UnknownInstitution,
 )
-# render_graph is unused here, but bench/spans.py traces it under this module
+# render_graph and parse_records are unused here, but bench/spans.py traces
+# them under this module
 from .export import GRAPH_FORMATS, render_graph, write_graph  # noqa: F401
-from .ingest import (
+from .ingest import (  # noqa: F401
     Counting,
     DatasetSelector,
     InstitutionRecord,
+    load_records,
     parse_records,
     select_records,
 )
@@ -110,11 +112,10 @@ def _load_records(args) -> List[InstitutionRecord]:
         return _one_slice(select_records(data_mod.trio_records(), selector))
     batches: List[InstitutionRecord] = []
     for path in args.input:
-        with open(path, "rb") as fh:
-            try:
-                batches.extend(parse_records(fh))
-            except NoMatch:
-                continue  # a file with zero data rows contributes nothing
+        try:
+            batches.extend(load_records(path))
+        except NoMatch:
+            continue  # a file with zero data rows contributes nothing
     return _one_slice(select_records(batches, selector))
 
 
@@ -304,15 +305,10 @@ def _group_tables_text(tables, bold) -> str:
     for t in tables:
         title = f"Isolate (group {t.group + 1})" if t.isolate else f"Group {t.group + 1}"
         parts.append(bold(f"== {title} =="))
-        rows = [["within", "overall", "z", "name"]]
+        rows = [["name", "within", "overall", "z"]]
         for r in t.rows:
-            rows.append([
-                str(r.within_group_rank), str(r.overall_rank), f"{r.z:.3f}", r.name,
-            ])
-        # name column reads better last; _grid left-aligns only the first column
-        grid_rows = [[row[3], row[0], row[1], row[2]] for row in rows]
-        grid_rows[0] = ["name", "within", "overall", "z"]
-        parts.append(_grid(grid_rows))
+            rows.append([r.name, str(r.within_group_rank), str(r.overall_rank), f"{r.z:.3f}"])
+        parts.append(_grid(rows))
         parts.append("")
     return "\n".join(parts)
 

@@ -2,7 +2,7 @@
 
 Each format is a private generator of text chunks in the canonical order
 of a SignificanceGraph, one block of ``_EDGE_BLOCK`` edges per chunk:
-``write_graph`` streams them, the other writers join them into a string.
+``write_graph`` streams them and ``render_graph`` joins them into a string.
 """
 
 import csv
@@ -12,10 +12,8 @@ import sys
 
 from .siggraph import SignificanceGraph
 
-__all__ = ["GRAPH_FORMATS", "render_graph", "write_graph", "write_dot", "write_pajek",
-           "write_vjson", "write_edge_csv"]
+__all__ = ["GRAPH_FORMATS", "render_graph", "write_graph"]
 
-GRAPH_FORMATS = ("csv", "dot", "pajek", "vjson")
 _EDGE_BLOCK = 1 << 10  # edges per chunk
 
 
@@ -36,6 +34,7 @@ def _dot_quote(name: str) -> str:
 
 
 def _dot_chunks(g: SignificanceGraph):
+    """Undirected DOT graph with z node attributes."""
     quoted = [_dot_quote(name) for name in g.names]
     strong_attr = ("", ", strong=true")
     yield "graph ranksig {\n" + _fill("  %s [z=%.6f];\n", quoted, [n.z for n in g.nodes])
@@ -47,6 +46,7 @@ def _dot_chunks(g: SignificanceGraph):
 
 
 def _pajek_chunks(g: SignificanceGraph):
+    """Pajek network: *Vertices with 1-based ids, then *Edges with |z| weights."""
     labels = [name.replace('"', "'") for name in g.names]
     yield (f"*Vertices {len(g.nodes)}\n"
            + _fill('%d "%s"\n', list(range(1, len(labels) + 1)), labels) + "*Edges\n")
@@ -61,6 +61,11 @@ _VJSON_LINK = (',\n      {\n        "source_id": %d,\n        "strength": %s,'
 
 
 def _vjson_chunks(g: SignificanceGraph):
+    """Viewer-compatible network JSON: items weighted by node z, links by |z|.
+
+    The text is what ``json.dumps(doc, indent=2, sort_keys=True)`` writes
+    for the document, filled into a fixed template.
+    """
     # every entry starts with a comma; the first one of a list opens it instead
     items = _fill(_VJSON_ITEM, list(range(1, len(g.nodes) + 1)),
                   [json.dumps(n.name) for n in g.nodes], [json.dumps(n.z) for n in g.nodes])
@@ -82,6 +87,7 @@ def _csv_field(value: str) -> str:
 
 
 def _edge_csv_chunks(g: SignificanceGraph):
+    """Edge list CSV (isolated nodes do not appear; use the rank tables for nodes)."""
     fields = [_csv_field(name) for name in g.names]
     flags = ("false", "true")
     yield "source,target,z,strong\n"
@@ -91,39 +97,19 @@ def _edge_csv_chunks(g: SignificanceGraph):
                     [flags[f] for f in g.strong[s].tolist()])
 
 
-def write_dot(g: SignificanceGraph) -> str:
-    """Undirected DOT graph with z node attributes."""
-    return "".join(_dot_chunks(g))
-
-
-def write_pajek(g: SignificanceGraph) -> str:
-    """Pajek network: *Vertices with 1-based ids, then *Edges with |z| weights."""
-    return "".join(_pajek_chunks(g))
-
-
-def write_vjson(g: SignificanceGraph) -> str:
-    """Viewer-compatible network JSON: items weighted by node z, links by |z|.
-
-    The text is what ``json.dumps(doc, indent=2, sort_keys=True)`` writes
-    for the document, filled into a fixed template.
-    """
-    return "".join(_vjson_chunks(g))
-
-
-def write_edge_csv(g: SignificanceGraph) -> str:
-    """Edge list CSV (isolated nodes do not appear; use the rank tables for nodes)."""
-    return "".join(_edge_csv_chunks(g))
+_CHUNKS = {"csv": _edge_csv_chunks, "dot": _dot_chunks, "pajek": _pajek_chunks,
+           "vjson": _vjson_chunks}
+GRAPH_FORMATS = tuple(_CHUNKS)
 
 
 def _chunks(g: SignificanceGraph, fmt: str):
-    chunks = {"csv": _edge_csv_chunks, "dot": _dot_chunks, "pajek": _pajek_chunks,
-              "vjson": _vjson_chunks}.get(fmt)
-    if chunks is None:
+    if fmt not in _CHUNKS:
         raise ValueError(f"unknown graph format {fmt!r}; expected one of {GRAPH_FORMATS}")
-    return chunks(g)
+    return _CHUNKS[fmt](g)
 
 
 def render_graph(g: SignificanceGraph, fmt: str) -> str:
+    """The graph file text in ``fmt``, one of GRAPH_FORMATS."""
     return "".join(_chunks(g, fmt))
 
 

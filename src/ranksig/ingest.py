@@ -227,35 +227,32 @@ def parse_records(
         NoMatch: the selector yields an empty set.
     """
     text = _as_text(source)
-    lines = text.splitlines()
-    line_no = 0
+    buf = io.StringIO(text, newline="")
+    offset = 0
     percent = False
-
-    if lines and lines[0].startswith("#"):
-        line_no = 1
-        directive = lines[0][1:].strip()
+    if text.startswith("#"):
+        offset = 1
+        line = buf.readline().rstrip("\r\n")
+        directive = line[1:].strip()
         if "=" not in directive:
-            raise MalformedRow(1, f"unrecognized directive {lines[0]!r}")
+            raise MalformedRow(1, f"unrecognized directive {line!r}")
         key, _, value = directive.partition("=")
         if key.strip() != "pp_unit" or value.strip() not in ("fraction", "percent"):
-            raise MalformedRow(1, f"unrecognized directive {lines[0]!r}")
+            raise MalformedRow(1, f"unrecognized directive {line!r}")
         percent = value.strip() == "percent"
-        lines = lines[1:]
 
-    if not lines:
-        raise MalformedRow(line_no + 1, "missing header row")
-
-    header = next(csv.reader([lines[0]]))
+    rows = _rows(buf, offset)
+    first = next(rows, None)
+    if first is None:
+        raise MalformedRow(offset + 1, "missing header row")
+    line_no, header = first
     header = [h.strip() for h in header]
-    line_no += 1
     _check_header(header, line_no)
 
     records = []
-    for raw in lines[1:]:
-        line_no += 1
-        if not raw.strip():
-            continue
-        cells = next(csv.reader([raw]))
+    for line_no, cells in rows:
+        if not cells or (len(cells) == 1 and not cells[0].strip()):
+            continue  # a blank line
         if len(cells) != len(header):
             raise MalformedRow(
                 line_no, f"expected {len(header)} cells, got {len(cells)}"
@@ -263,6 +260,18 @@ def parse_records(
         records.append(_build_record(dict(zip(header, cells)), line_no, percent))
 
     return select_records(records, selector)
+
+
+def _rows(buf: IO, offset: int):
+    """(line number, cells) for each CSV row of ``buf``; the line is the row's last.
+
+    One reader for the whole text, so a quoted field may hold any line break.
+    """
+    reader = csv.reader(buf)
+    try:
+        yield from ((offset + reader.line_num, cells) for cells in reader)
+    except csv.Error as exc:
+        raise MalformedRow(offset + reader.line_num, str(exc)) from None
 
 
 def _check_header(header: list, line_no: int) -> None:

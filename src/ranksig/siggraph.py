@@ -81,6 +81,8 @@ _RELATIONS = (
     IntervalRelation(RelationKind.DISJOINT),
 )
 _RELATION_CODE = {rel: code for code, rel in enumerate(_RELATIONS)}
+# A containment direction read from the other endpoint
+_REVERSED = {_RELATIONS[2]: _RELATIONS[3], _RELATIONS[3]: _RELATIONS[2]}
 
 
 def _frozen(a):
@@ -117,7 +119,7 @@ class SignificanceGraph:
             if e.a not in index or e.b not in index:
                 raise ValueError(f"edge ({e.a!r}, {e.b!r}) references a missing node")
             if e.a > e.b:
-                e = GraphEdge(e.b, e.a, e.z, e.relation, e.strong)
+                e = GraphEdge(e.b, e.a, e.z, _REVERSED.get(e.relation, e.relation), e.strong)
             if (e.a, e.b) in seen:
                 raise ValueError(f"duplicate edge ({e.a!r}, {e.b!r})")
             if e.relation not in _RELATION_CODE:
@@ -229,16 +231,6 @@ class SignificanceGraph:
     @property
     def node_z(self) -> Dict[str, float]:
         return {n.name: n.z for n in self.nodes}
-
-    def neighbors(self) -> Dict[str, List[str]]:
-        """Name -> neighbour names, each list in ascending name order (edges come
-        in (src, dst) order: a node meets its lower neighbours first, as dst)."""
-        names = self.names
-        out: Dict[str, List[str]] = {name: [] for name in names}
-        for i, j in zip(self.src.tolist(), self.dst.tolist()):
-            out[names[i]].append(names[j])
-            out[names[j]].append(names[i])
-        return out
 
 
 @dataclass(frozen=True)
@@ -455,27 +447,23 @@ def modularity(
     return q
 
 
-def _louvain(
-    adj: Dict[str, Dict[str, float]],
-    resolution: float,
-    seed: int,
-) -> Dict[str, int]:
+def _louvain(g: SignificanceGraph, resolution: float, seed: int) -> List[int]:
     """Greedy modularity maximization: local moving plus aggregation.
 
-    Node visit order is a seeded shuffle, candidate communities are scanned
-    in sorted order, and ties keep the current community, so the result is
-    a pure function of (graph, resolution, seed).
+    Returns the community id of each node index. Node visit order is a
+    seeded shuffle, candidate communities are scanned in sorted order, and
+    ties keep the current community, so the result is a pure function of
+    (graph, resolution, seed).
     """
     rng = random.Random(seed)
-    names = sorted(adj)
-    # nodes of the current aggregation level, each a tuple of original names
-    level_nodes: List[Tuple[str, ...]] = [(n,) for n in names]
-    graph: Dict[int, Dict[int, float]] = {i: {} for i in range(len(names))}
-    index = {n: i for i, n in enumerate(names)}
-    for a, nbrs in adj.items():
-        for b, w in nbrs.items():
-            if a != b:
-                graph[index[a]][index[b]] = w
+    n = len(g.nodes)
+    # nodes of the current aggregation level, each a list of node indices
+    level_nodes: List[List[int]] = [[i] for i in range(n)]
+    # neighbour keys in ascending order: edges come in (src, dst) order
+    graph: Dict[int, Dict[int, float]] = {i: {} for i in range(n)}
+    for i, j in zip(g.src.tolist(), g.dst.tolist()):
+        graph[i][j] = 1.0
+        graph[j][i] = 1.0
 
     while True:
         ids = sorted(graph)
@@ -530,7 +518,7 @@ def _louvain(
         new_ids = {}
         for i in ids:
             new_ids.setdefault(comm[i], len(new_ids))
-        next_nodes: List[List[str]] = [[] for _ in range(len(new_ids))]
+        next_nodes: List[List[int]] = [[] for _ in range(len(new_ids))]
         for i in ids:
             next_nodes[new_ids[comm[i]]].extend(level_nodes[i])
         next_graph: Dict[int, Dict[int, float]] = {c: {} for c in range(len(new_ids))}
@@ -547,15 +535,14 @@ def _louvain(
                         next_graph[ci][cj] = next_graph[ci].get(cj, 0.0) + w
                         next_graph[cj][ci] = next_graph[cj].get(ci, 0.0) + w
 
-        level_nodes = [tuple(sorted(ns)) for ns in next_nodes]
+        level_nodes = next_nodes
         graph = next_graph
 
-    # final membership from the surviving level nodes
-    out = {}
+    membership = [0] * n
     for c, members in enumerate(level_nodes):
-        for n in members:
-            out[n] = c
-    return out
+        for i in members:
+            membership[i] = c
+    return membership
 
 
 def cluster(
@@ -569,19 +556,14 @@ def cluster(
     plain tier partition. Isolates stay singletons, and every cluster lies
     inside one weak component.
     """
-    if not g.edge_count:
-        return weak_components(g)
-
-    adj = {n: dict.fromkeys(nbrs, 1.0) for n, nbrs in g.neighbors().items()}
-
-    membership = _louvain(adj, resolution, seed)
-    comps: Dict[int, List[str]] = {}
-    for n, c in membership.items():
-        comps.setdefault(c, []).append(n)
-    isolates = frozenset(n for n, ns in adj.items() if not ns)
-    louvain_grouping = _make_grouping(comps.values(), g.node_z, isolates)
-
     weak = weak_components(g)
+    if not g.edge_count:
+        return weak
+
+    comps: Dict[int, List[str]] = {}
+    for name, c in zip(g.names, _louvain(g, resolution, seed)):
+        comps.setdefault(c, []).append(name)
+    louvain_grouping = _make_grouping(comps.values(), g.node_z, weak.isolates)
     if modularity(g, louvain_grouping, resolution) >= modularity(g, weak, resolution):
         return louvain_grouping
     return weak

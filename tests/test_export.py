@@ -19,15 +19,7 @@ import tracemalloc
 import pytest
 
 from ranksig import export
-from ranksig.export import (
-    GRAPH_FORMATS,
-    render_graph,
-    write_dot,
-    write_edge_csv,
-    write_graph,
-    write_pajek,
-    write_vjson,
-)
+from ranksig.export import GRAPH_FORMATS, render_graph, write_graph
 from ranksig.siggraph import Criterion, GraphEdge, SignificanceGraph, build_graph
 
 from conftest import make_record
@@ -88,11 +80,17 @@ def reference_edge_csv(g):
     return buf.getvalue()
 
 
+REFERENCES = {
+    "csv": reference_edge_csv,
+    "dot": reference_dot,
+    "pajek": reference_pajek,
+    "vjson": reference_vjson,
+}
+# (format, reference); the ids keep the form write_<name>-reference_<name>
+# so that test ids stay stable
 WRITERS = [
-    (write_dot, reference_dot),
-    (write_pajek, reference_pajek),
-    (write_vjson, reference_vjson),
-    (write_edge_csv, reference_edge_csv),
+    pytest.param(fmt, ref, id=f"write_{ref.__name__[len('reference_'):]}-{ref.__name__}")
+    for fmt, ref in REFERENCES.items()
 ]
 
 # names that need escaping in every format: quotes, backslashes, non-ASCII,
@@ -127,11 +125,15 @@ GRAPHS = {
 }
 
 
-@pytest.mark.parametrize("writer, reference", WRITERS, ids=lambda f: f.__name__)
+def test_every_format_has_a_reference():
+    assert sorted(REFERENCES) == sorted(GRAPH_FORMATS)
+
+
+@pytest.mark.parametrize("fmt, reference", WRITERS)
 @pytest.mark.parametrize("graph", list(GRAPHS), ids=str)
-def test_writer_matches_reference(writer, reference, graph):
+def test_writer_matches_reference(fmt, reference, graph):
     g = GRAPHS[graph]()
-    assert writer(g) == reference(g)
+    assert render_graph(g, fmt) == reference(g)
 
 
 def test_fixtures_cover_the_cases():
@@ -142,8 +144,8 @@ def test_fixtures_cover_the_cases():
     assert odd.edge_count > 0 and any(e.z < 0 for e in odd.edges)
     assert any(e.strong for e in ci.edges) and not all(e.strong for e in ci.edges)
     assert any(e.z < 0 for e in user.edges)
-    assert '"links": []' in write_vjson(GRAPHS["edgeless"]())
-    assert '"items": []' in write_vjson(GRAPHS["empty"]())
+    assert '"links": []' in render_graph(GRAPHS["edgeless"](), "vjson")
+    assert '"items": []' in render_graph(GRAPHS["empty"](), "vjson")
 
 
 @pytest.mark.parametrize("fmt", GRAPH_FORMATS)
@@ -182,13 +184,13 @@ def graph_with_edges(count):
     )
 
 
-@pytest.mark.parametrize("writer, reference", WRITERS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("fmt, reference", WRITERS)
 @pytest.mark.parametrize("count", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
-def test_edge_counts_around_the_block(writer, reference, count, monkeypatch):
+def test_edge_counts_around_the_block(fmt, reference, count, monkeypatch):
     monkeypatch.setattr(export, "_EDGE_BLOCK", BLOCK)
     g = graph_with_edges(count)
     assert g.edge_count == count
-    assert writer(g) == reference(g)
+    assert render_graph(g, fmt) == reference(g)
 
 
 def test_vjson_stream_memory_is_bounded(tmp_path):

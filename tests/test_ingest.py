@@ -118,6 +118,17 @@ class TestMalformed:
         with pytest.raises(MalformedRow):
             parse_rows(TSINGHUA_ROW, directive="#pp_unit=permille")
 
+    def test_line_numbers_count_blank_lines_and_quoted_breaks(self):
+        with pytest.raises(MalformedRow) as err:
+            parse_rows('"Two\nLines U",CN,2015-2018,F,frac,10,1,0.1,,', "",
+                       "X,CN,2015-2018,F,frac,abc,1,0.1,,", directive="#pp_unit=fraction")
+        assert err.value.line_no == 6
+
+    def test_overlong_field_is_a_malformed_row(self):
+        # an unclosed quote runs to the end of the text
+        with pytest.raises(MalformedRow, match="field limit"):
+            parse_rows('"Unclosed U,CN,2015-2018,F,frac,10,1,0.1,,', "x" * 200_000)
+
     def test_non_utf8_bytes(self):
         with pytest.raises(MalformedRow, match="UTF-8"):
             parse_records(b"\xff\xfe\x00bad")
@@ -229,6 +240,13 @@ def _records(draw):
 def test_round_trip(records):
     parsed = parse_records(dump_records(records))
     assert parsed == records
+
+
+@pytest.mark.parametrize("name", ["Uni\nY", "Uni\u2028Y", "Uni\x85Y", "Uni\x0cY"], ids=repr)
+def test_round_trip_of_line_breaks_in_names(name):
+    rec = InstitutionRecord(name=name, country="CN", period="2015-2018", field="F",
+                            counting=Counting.FULL, p=10.0, t_top10=1.0, pp_top10=0.1)
+    assert parse_records(dump_records([rec])) == [rec]
 
 
 def test_round_trip_of_parsed_records():

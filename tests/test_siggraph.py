@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 import warnings
 
 import numpy as np
@@ -21,7 +23,7 @@ from ranksig.siggraph import (
     rank_groups,
     weak_components,
 )
-from ranksig.stats import link_z
+from ranksig.stats import Direction, ci_relation, link_z
 
 from conftest import make_record
 
@@ -82,6 +84,19 @@ class TestGraphValidation:
         built = build_graph([make_record(name=n, pp=0.1) for n in "cab"])
         assert built.edges is built.edges
         assert built == SignificanceGraph(built.nodes, built.edges)
+
+    def test_reversed_edges_state_the_same_relations(self):
+        intervals = {"A": (0.08, 0.13), "B": (0.09, 0.125), "C": (0.07, 0.14),
+                     "D": (0.11, 0.15), "E": (0.08, 0.13)}
+        records = [make_record(name=n, ci=iv) for n, iv in intervals.items()]
+        g = build_graph(records, criterion=Criterion.CI_OVERLAP)
+        assert {e.relation.direction for e in g.edges} >= {
+            Direction.A_IN_B, Direction.B_IN_A, Direction.MUTUAL}
+        flipped = [
+            GraphEdge(e.b, e.a, e.z, ci_relation(intervals[e.b], intervals[e.a]), e.strong)
+            for e in g.edges
+        ]
+        assert SignificanceGraph(g.nodes, flipped) == g
 
     def test_graph_is_immutable(self):
         g = SignificanceGraph.from_scores([("a", 1.0), ("b", 2.0)], [("a", "b")])
@@ -384,8 +399,7 @@ def graphs(draw, max_nodes=24):
 
 
 def louvain_of(g, seed):
-    adj = {n: dict.fromkeys(nbrs, 1.0) for n, nbrs in g.neighbors().items()}
-    return _louvain(adj, 1.0, seed)
+    return dict(zip(g.names, _louvain(g, 1.0, seed)))
 
 
 class TestLouvainInvariants:
@@ -517,15 +531,156 @@ class TestWeakComponentsOracle:
             assert grouping.isolates == frozenset(n for n, d in G.degree if d == 0)
 
 
-class TestNeighbors:
-    @settings(max_examples=200, deadline=None)
-    @given(graphs())
-    def test_ascending_lists_of_both_ends(self, g):
-        want = {name: [] for name in g.names}
-        for e in g.edges:
-            want[e.a].append(e.b)
-            want[e.b].append(e.a)
-        assert g.neighbors() == {name: sorted(v) for name, v in want.items()}
+def name_louvain(adj, resolution, seed):
+    """_louvain as it ran on a name-keyed adjacency dict: the reference.
+
+    ``adj`` maps each name to {neighbour name: weight}; the result maps each
+    name to its community id.
+    """
+    rng = random.Random(seed)
+    names = sorted(adj)
+    level_nodes = [(n,) for n in names]
+    graph = {i: {} for i in range(len(names))}
+    index = {n: i for i, n in enumerate(names)}
+    for a, nbrs in adj.items():
+        for b, w in nbrs.items():
+            if a != b:
+                graph[index[a]][index[b]] = w
+
+    while True:
+        ids = sorted(graph)
+        degree = {}
+        for i in ids:
+            d = 0.0
+            for j, w in graph[i].items():
+                d += 2.0 * w if j == i else w
+            degree[i] = d
+        two_m = math.fsum(degree.values())
+        if two_m == 0:
+            break
+
+        comm = {i: i for i in ids}
+        comm_tot = dict(degree)
+        order = list(ids)
+        rng.shuffle(order)
+
+        moved_any = False
+        improved = True
+        while improved:
+            improved = False
+            for i in order:
+                old = comm[i]
+                k_i = degree[i]
+                comm_tot[old] -= k_i
+                links = {}
+                for j, w in graph[i].items():
+                    if j != i:
+                        links[comm[j]] = links.get(comm[j], 0.0) + w
+
+                def score(c):
+                    return links.get(c, 0.0) - resolution * k_i * comm_tot[c] / two_m
+
+                best, best_score = old, score(old)
+                for c in sorted(links):
+                    sc = score(c)
+                    if sc > best_score + 1e-12 * two_m / 2.0:
+                        best, best_score = c, sc
+                comm[i] = best
+                comm_tot[best] += k_i
+                if best != old:
+                    improved = True
+                    moved_any = True
+
+        if not moved_any:
+            break
+
+        new_ids = {}
+        for i in ids:
+            new_ids.setdefault(comm[i], len(new_ids))
+        next_nodes = [[] for _ in range(len(new_ids))]
+        for i in ids:
+            next_nodes[new_ids[comm[i]]].extend(level_nodes[i])
+        next_graph = {c: {} for c in range(len(new_ids))}
+        for i in ids:
+            ci = new_ids[comm[i]]
+            for j, w in graph[i].items():
+                cj = new_ids[comm[j]]
+                if i == j:
+                    next_graph[ci][ci] = next_graph[ci].get(ci, 0.0) + w
+                elif i < j:
+                    if ci == cj:
+                        next_graph[ci][ci] = next_graph[ci].get(ci, 0.0) + w
+                    else:
+                        next_graph[ci][cj] = next_graph[ci].get(cj, 0.0) + w
+                        next_graph[cj][ci] = next_graph[cj].get(ci, 0.0) + w
+
+        level_nodes = [tuple(sorted(ns)) for ns in next_nodes]
+        graph = next_graph
+
+    out = {}
+    for c, members in enumerate(level_nodes):
+        for n in members:
+            out[n] = c
+    return out
+
+
+def name_adjacency(g):
+    """Name -> {neighbour name: 1.0}, each in ascending name order."""
+    adj = {name: {} for name in g.names}
+    for e in g.edges:
+        adj[e.a][e.b] = 1.0
+        adj[e.b][e.a] = 1.0
+    return adj
+
+
+def name_cluster(g, resolution, seed):
+    """cluster as it ran on the name-keyed adjacency: the reference."""
+    if not g.edge_count:
+        return weak_components(g)
+    adj = name_adjacency(g)
+    comps = {}
+    for n, c in name_louvain(adj, resolution, seed).items():
+        comps.setdefault(c, []).append(n)
+    isolates = frozenset(n for n, ns in adj.items() if not ns)
+    louvain_grouping = _make_grouping(comps.values(), g.node_z, isolates)
+    weak = weak_components(g)
+    if modularity(g, louvain_grouping, resolution) >= modularity(g, weak, resolution):
+        return louvain_grouping
+    return weak
+
+
+def seeded_edition(seed, n):
+    """n institutions with 95% stability intervals, shares spread like an edition."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for k in range(n):
+        p = float(rng.uniform(500, 40000))
+        pp = float(np.clip(rng.normal(0.12, 0.03), 0.03, 0.3))
+        half = 1.96 * math.sqrt(pp * (1 - pp) / p)
+        records.append(make_record(name=f"Univ {k:03d}", p=p, pp=pp,
+                                   ci=(max(0.0, pp - half), min(1.0, pp + half))))
+    return records
+
+
+class TestLouvainOracle:
+    """_louvain and cluster on node indices against the name-keyed reference."""
+
+    def check(self, g, resolution, seed):
+        want = name_louvain(name_adjacency(g), resolution, seed)
+        assert dict(zip(g.names, _louvain(g, resolution, seed))) == want
+        assert_same_grouping(cluster(g, resolution, seed), name_cluster(g, resolution, seed))
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs(), st.integers(0, 2**32 - 1), st.sampled_from((0.5, 1.0, 2.0)))
+    def test_generated_graphs(self, g, seed, resolution):
+        self.check(g, resolution, seed)
+
+    @pytest.mark.parametrize("criterion", list(Criterion))
+    @pytest.mark.parametrize("resolution", [0.5, 1.0, 2.0])
+    def test_seeded_edition(self, criterion, resolution):
+        g = build_graph(seeded_edition(11, 300), criterion=criterion)
+        self.check(g, resolution, seed=7)
+        assert len(cluster(g, resolution, seed=7).groups()) > len(weak_components(g).groups())
 
 
 class TestRankGroups:
