@@ -11,55 +11,58 @@ output goes to ``--out`` or stdout; log lines go to stderr, never mixed
 into the data stream. Given identical inputs, flags, and seed, emitted
 files are byte-identical across runs. Set ``RANKSIG_NO_COLOR`` to disable
 ANSI styling of terminal reports.
+
+A command imports the library modules it runs when it runs: start-up
+costs only this module, ``errors`` and ``export``.
 """
+
+from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import os
 import sys
 import warnings
 from collections import Counter
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from . import compare as cmp_mod
-from . import data as data_mod
-from . import dynamics, stats
 from .errors import (
-    DegeneratePoolWarning,
-    DegenerateTable,
-    DegenerateTableWarning,
-    DuplicateRecord,
-    MalformedRow,
-    MixedSlices,
-    NoMatch,
-    ConstantInput,
-    RanksigError,
-    UnknownInstitution,
+    ConstantInput, DegeneratePoolWarning, DegenerateTable, DegenerateTableWarning,
+    DuplicateRecord, MalformedRow, MixedSlices, NoMatch, RanksigError, UnknownInstitution,
 )
-# render_graph and parse_records are unused here, but bench/spans.py traces
-# them under this module
-from .export import GRAPH_FORMATS, render_graph, write_graph  # noqa: F401
-from .ingest import (  # noqa: F401
-    Counting,
-    DatasetSelector,
-    InstitutionRecord,
-    load_records,
-    parse_records,
-    select_records,
-)
-from .siggraph import (
-    Criterion,
-    Grouping,
-    SignificanceGraph,
-    build_graph,
-    cluster,
-    rank_groups,
-    weak_components,
-)
+from .export import GRAPH_FORMATS
+
+if TYPE_CHECKING:
+    from .ingest import InstitutionRecord
+    from .siggraph import Grouping, SignificanceGraph
 
 __all__ = ["main"]
+
+# Library functions the commands call, imported on first use. A wrapper set
+# on one of these attributes before a command runs is what the command calls
+# (bench/spans.py traces them so, parse_records and render_graph included).
+_LIBRARY = {
+    "load_records": "ingest", "parse_records": "ingest", "select_records": "ingest",
+    "build_graph": "siggraph", "cluster": "siggraph", "rank_groups": "siggraph",
+    "weak_components": "siggraph", "render_graph": "export", "write_graph": "export",
+}
+
+
+def __getattr__(name):
+    if name not in _LIBRARY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LIBRARY[name]}", __package__)
+    return globals().setdefault(name, getattr(module, name))
+
+
+def _bind(*names: str) -> None:
+    """Bind library functions as globals of this module, keeping any already set."""
+    for name in names:
+        if name not in globals():
+            __getattr__(name)
 
 
 # ---------------------------------------------------------------- helpers
@@ -93,23 +96,18 @@ def _grid(rows: List[List[str]]) -> str:
     return "\n".join(lines)
 
 
-def _selector(args) -> DatasetSelector:
+def _load_records(args) -> List[InstitutionRecord]:
+    from .ingest import Counting, DatasetSelector
+    _bind("load_records", "select_records")
     countries = None
     if args.countries:
         countries = frozenset(c.strip() for c in args.countries.split(",") if c.strip())
     counting = Counting.parse(args.counting) if args.counting else None
-    return DatasetSelector(
-        period=args.period,
-        field=args.field,
-        counting=counting,
-        countries=countries,
-    )
-
-
-def _load_records(args) -> List[InstitutionRecord]:
-    selector = _selector(args)
+    selector = DatasetSelector(period=args.period, field=args.field, counting=counting,
+                               countries=countries)
     if not args.input:
-        return _one_slice(select_records(data_mod.trio_records(), selector))
+        from . import data
+        return _one_slice(select_records(data.trio_records(), selector))
     batches: List[InstitutionRecord] = []
     for path in args.input:
         try:
@@ -146,20 +144,20 @@ def _find(records: List[InstitutionRecord], name: str) -> InstitutionRecord:
     raise UnknownInstitution(f"unknown institution: {name!r}")
 
 
-def _criterion(token: str) -> Criterion:
-    return Criterion.Z_TEST if token == "ztest" else Criterion.CI_OVERLAP
-
-
 def _graph_for(args, records, criterion_token: str) -> SignificanceGraph:
+    from . import stats
+    from .siggraph import Criterion
+    _bind("build_graph")
     return build_graph(
         records,
-        criterion=_criterion(criterion_token),
+        criterion=Criterion.Z_TEST if criterion_token == "ztest" else Criterion.CI_OVERLAP,
         threshold=stats.threshold_for_alpha(float(args.alpha)),
         proportions=args.proportions,
     )
 
 
 def _grouping_for(args, graph: SignificanceGraph) -> Grouping:
+    _bind("cluster", "weak_components")
     if getattr(args, "grouping", "components") == "modularity":
         return cluster(graph, resolution=args.resolution, seed=args.seed)
     return weak_components(graph)
@@ -226,20 +224,38 @@ def _matrix_grid(title_col: str, table, matrix, margins: bool) -> str:
 
 
 def cmd_pairwise(args) -> int:
+    from . import stats
     records = _load_records(args)
     a = _find(records, args.a)
     b = _find(records, args.b)
 
+    bold = _styler(plain=bool(args.out))
     table = stats.pair_table(a, b)
-    expected = stats.expected_table(table)
-    terms = stats.chi_square_terms(table)
-    chi2 = stats.chi_square(table)
-    resid = stats.standardized_residuals(table)
+    # a zero column total (no top-10% papers, or only those, on both sides)
+    # leaves expected cells of zero: chi-square is undefined, z is defined as
+    # 0 as in group; a zero row total (no papers) fails in link_z
+    if 0 in table.row_totals or 0 in table.col_totals:
+        chi_part = ["chi-square test undefined: a row or column total is zero"]
+    else:
+        expected = stats.expected_table(table)
+        terms = stats.chi_square_terms(table)
+        chi2 = stats.chi_square(table)
+        resid = stats.standardized_residuals(table)
+        chi_level = stats.chi_square_level(chi2, (len(table.rows) - 1) * (len(table.cols) - 1))
+        chi_part = [
+            bold("Expected counts"),
+            _matrix_grid("expected", table, expected.observed, margins=True),
+            "",
+            bold("Chi-square contributions"),
+            _matrix_grid("chi2 term", table, terms, margins=False),
+            f"chi-square = {chi2:.2f}  {chi_level.stars} ({chi_level.label})",
+            "",
+            bold("Standardized residuals"),
+            _matrix_grid("residual", table, resid, margins=False),
+        ]
     z_stored = stats.link_z(a, b, "stored")
     z_exact = stats.link_z(a, b, "exact")
-    chi_level = stats.chi_square_level(chi2, (len(table.rows) - 1) * (len(table.cols) - 1))
 
-    bold = _styler(plain=bool(args.out))
     parts = [
         bold(f"Pairwise comparison: {a.name} vs {b.name}"),
         f"period={a.period}  field={a.field}  counting={a.counting.value}",
@@ -247,15 +263,7 @@ def cmd_pairwise(args) -> int:
         bold("Observed counts"),
         _matrix_grid("observed", table, table.observed, margins=True),
         "",
-        bold("Expected counts"),
-        _matrix_grid("expected", table, expected.observed, margins=True),
-        "",
-        bold("Chi-square contributions"),
-        _matrix_grid("chi2 term", table, terms, margins=False),
-        f"chi-square = {chi2:.2f}  {chi_level.stars} ({chi_level.label})",
-        "",
-        bold("Standardized residuals"),
-        _matrix_grid("residual", table, resid, margins=False),
+        *chi_part,
         "",
         bold("Two-proportion z"),
         f"z (stored shares) = {z_stored:.3f}  "
@@ -319,6 +327,7 @@ def cmd_group(args) -> int:
         raise NoMatch("grouping needs at least two institutions after selection")
     graph = _graph_for(args, records, args.criterion)
     grouping = _grouping_for(args, graph)
+    _bind("rank_groups", "write_graph")
     tables = rank_groups(graph, grouping)
 
     n_groups = sum(1 for t in tables if not t.isolate)
@@ -374,6 +383,7 @@ def _two_categories(sides, shared) -> None:
 
 
 def _compare_report(sides, ordinals, heading, bold) -> str:
+    from . import compare as cmp_mod, stats
     (label_a, *_), (label_b, *_) = sides
     shared = sorted(set(label_a) & set(label_b))
     _two_categories(sides, shared)
@@ -455,6 +465,7 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------- decompose
 
 def cmd_decompose(args) -> int:
+    from . import dynamics
     d = dynamics.decompose_change(args.reported_old, args.reconstructed_old, args.current)
     bold = _styler(plain=bool(args.out))
 
@@ -478,6 +489,7 @@ def cmd_decompose(args) -> int:
 # ---------------------------------------------------------------- bootstrap
 
 def cmd_bootstrap(args) -> int:
+    from . import dynamics
     records = _load_records(args)
     rec = _find(records, args.name)
     interval = dynamics.bootstrap_interval(
@@ -498,6 +510,7 @@ def cmd_bootstrap(args) -> int:
 # ---------------------------------------------------------------- zcurve
 
 def cmd_zcurve(args) -> int:
+    from . import compare as cmp_mod
     records = _load_records(args)
     series = cmp_mod.z_distribution_series(cmp_mod.scores_by_category(records))
     buf = io.StringIO()
@@ -515,6 +528,7 @@ def cmd_zcurve(args) -> int:
 def cmd_export(args) -> int:
     records = _load_records(args)
     graph = _graph_for(args, records, args.criterion)
+    _bind("write_graph")
     write_graph(graph, args.format, args.out or None)
     if args.out:
         print(f"wrote {args.out}", file=sys.stderr)

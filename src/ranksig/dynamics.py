@@ -12,20 +12,23 @@ effect (old edition minus the old value reconstructed under the current
 methodology) and a model effect (reconstructed old value minus the
 current value); the two effects add up to the total change exactly.
 
-numpy is imported inside ``bootstrap_interval``, not at module level, so
-``import ranksig`` and the commands that draw no replicates start without
-its import cost; ``TestStartup`` in ``tests/test_cli.py`` checks this.
+numpy and hashlib are imported inside the functions that use them, and
+``ingest`` only for type checking, so ``decompose`` starts without their
+import cost; ``TestStartup`` in ``tests/test_cli.py`` checks this.
 """
 
+from __future__ import annotations
+
 import enum
-import hashlib
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Optional, Tuple
 
 from .errors import AmbiguousPeriodLabel, EmptyInstitution
-from .ingest import InstitutionRecord
+
+if TYPE_CHECKING:
+    from .ingest import InstitutionRecord
 
 __all__ = [
     "StabilityInterval", "ChangeDecomposition", "IndicatorField",
@@ -79,6 +82,7 @@ def _stream_seed(seed: int, name: str) -> int:
     salted per run), so evaluation order and thread count cannot change
     any institution's draws.
     """
+    import hashlib
     digest = hashlib.sha256(f"{seed}|{name}".encode("utf-8")).digest()
     return int.from_bytes(digest[:16], "big")
 

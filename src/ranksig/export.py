@@ -5,12 +5,15 @@ of a SignificanceGraph, one block of ``_EDGE_BLOCK`` edges per chunk:
 ``write_graph`` streams them and ``render_graph`` joins them into a string.
 """
 
+from __future__ import annotations
+
 import csv
 import io
-import json
 import sys
+from typing import TYPE_CHECKING
 
-from .siggraph import SignificanceGraph
+if TYPE_CHECKING:
+    from .siggraph import SignificanceGraph
 
 __all__ = ["GRAPH_FORMATS", "render_graph", "write_graph"]
 
@@ -66,6 +69,7 @@ def _vjson_chunks(g: SignificanceGraph):
     The text is what ``json.dumps(doc, indent=2, sort_keys=True)`` writes
     for the document, filled into a fixed template.
     """
+    import json
     # every entry starts with a comma; the first one of a list opens it instead
     items = _fill(_VJSON_ITEM, list(range(1, len(g.nodes) + 1)),
                   [json.dumps(n.name) for n in g.nodes], [json.dumps(n.z) for n in g.nodes])

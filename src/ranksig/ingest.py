@@ -392,13 +392,14 @@ def dump_records(records: Iterable[InstitutionRecord]) -> str:
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    # with "\n" as the line terminator csv.writer leaves a lone "\r" unquoted,
+    # and the reader would end the row there: quote every cell of such a row
+    quoting = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(_COLUMNS)
     for rec in records:
-        writer.writerow([
-            rec.name,
-            rec.country,
-            rec.period,
-            rec.field,
+        text = (rec.name, rec.country, rec.period, rec.field)
+        (quoting if any("\r" in cell for cell in text) else writer).writerow([
+            *text,
             rec.counting.value,
             _fmt(rec.p),
             _fmt(rec.t_top10),

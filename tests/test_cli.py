@@ -349,15 +349,15 @@ def _python(*args, cwd=None):
 
 
 def _loaded_after(statement):
-    """Which of numpy and scipy are in sys.modules after ``statement`` runs in a new process."""
+    """The names in sys.modules after ``statement`` runs in a new process."""
     script = (
         "import sys\n"
         f"{statement}\n"
-        'print(" ".join(m for m in ("numpy", "scipy") if m in sys.modules))\n'
+        'print(" ".join(sys.modules))\n'
     )
     result = _python("-c", script)
     assert result.returncode == 0, result.stderr
-    return result.stdout.splitlines()[-1].split()
+    return set(result.stdout.splitlines()[-1].split())
 
 
 def _main_exits_0(*argv):
@@ -389,6 +389,118 @@ class TestStartup:
     def test_numpy_loaded_where_arrays_run(self, statement):
         assert "numpy" in _loaded_after(statement)
 
+    # every command loads ranksig, cli, errors and export; the rest are
+    # imported by the command that runs them
+    @pytest.mark.parametrize("argv, modules", [
+        (None, ()),
+        (("decompose", "9.81", "9.54", "9.03"), ("dynamics",)),
+        (("pairwise", "--input", "trio.csv", "Tsinghua University", "Zhejiang University"),
+         ("ingest", "stats")),
+        (("zcurve", "--input", "trio.csv"), ("ingest", "stats", "compare")),
+        (("bootstrap", "--input", "trio.csv", "--name", "Peking University", "--draws", "10"),
+         ("ingest", "dynamics")),
+        (("group", "--input", "trio.csv"), ("ingest", "stats", "siggraph")),
+        (("export", "--input", "trio.csv"), ("ingest", "stats", "siggraph")),
+        (("compare", "--input", "trio.csv"), ("ingest", "stats", "siggraph", "compare")),
+        (("group",), ("ingest", "stats", "siggraph", "data")),
+    ], ids=["import-cli", "decompose", "pairwise", "zcurve", "bootstrap", "group", "export",
+            "compare", "group-embedded"])
+    def test_command_loads_only_what_it_runs(self, tmp_path, argv, modules):
+        (tmp_path / "trio.csv").write_text(ranksig.data.trio_csv(), encoding="utf-8")
+        statement = "import ranksig.cli" if argv is None else _main_exits_0(*argv)
+        loaded = _loaded_after(f"import os; os.chdir({str(tmp_path)!r}); {statement}")
+        expected = {"ranksig", "ranksig.cli", "ranksig.errors", "ranksig.export"}
+        assert {m for m in loaded if m.split(".")[0] == "ranksig"} == (
+            expected | {f"ranksig.{m}" for m in modules})
+        if argv is None:
+            assert not loaded & {"dataclasses", "json", "hashlib", "numpy"}
+
+    def test_import_ranksig_loads_no_submodule(self):
+        loaded = _loaded_after("import ranksig")
+        assert {m for m in loaded if m.split(".")[0] == "ranksig"} == {"ranksig"}
+
+
+class TestTracedNames:
+    """Library functions the CLI calls are looked up as attributes of ranksig.cli."""
+
+    def test_wrappers_set_before_a_command_are_what_runs(self, capsys, monkeypatch):
+        names = ("select_records", "build_graph", "cluster", "rank_groups")
+        for name in names:  # as in a new process: nothing bound yet
+            monkeypatch.delitem(vars(cli), name, raising=False)
+        calls = []
+
+        def wrap(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(cli, name, wrap(name, getattr(cli, name)))
+        code, out, _ = run(capsys, "group", "--grouping", "modularity")
+        assert code == 0 and "== Group 1 ==" in out
+        assert calls == list(names)
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cli.no_such_name
+
+
+# the names ``import ranksig`` exposed when it imported every submodule
+PUBLIC_NAMES = sorted("""
+    ALPHA_THRESHOLDS ChangeDecomposition ContingencyTable Counting Criterion DatasetSelector
+    Direction GraphEdge GraphNode GroupTable Grouping IndicatorField InstitutionRecord
+    IntervalRelation PairwiseTest RankedRow RanksigError RelationKind SeriesPoint
+    SignificanceGraph SignificanceLevel StabilityInterval aligned_series bootstrap_interval
+    build_graph chi_square chi_square_level chi_square_terms ci_relation cluster compare
+    cramers_v crosstab crosstab_chi_square data decompose_change dump_records dynamics errors
+    expected_table export ingest link_z load_records modularity pair_table pairwise_test
+    parse_records phi pooled_proportion rank_groups render_graph scores_by_category
+    select_records series_view siggraph significance_level spearman standardized_residuals
+    stats threshold_for_alpha weak_components write_graph z_distribution_series
+    z_two_proportions z_vs_expectation
+""".split())
+SUBMODULES = ("compare", "data", "dynamics", "errors", "export", "ingest", "siggraph", "stats")
+
+
+def _in_new_process(script):
+    result = _python("-c", script)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+class TestPublicSurface:
+    """``import ranksig`` loads submodules on first access; its public names stay the same."""
+
+    def test_public_names_resolve(self):
+        out = _in_new_process(
+            "import ranksig\n"
+            f"for name in {PUBLIC_NAMES!r}:\n"
+            "    assert getattr(ranksig, name) is not None, name\n"
+            "print(ranksig.__version__)\n"
+        )
+        assert out == "0.1.0\n"
+
+    @pytest.mark.parametrize("name", SUBMODULES)
+    def test_submodule_is_an_attribute(self, name):
+        out = _in_new_process(f"import ranksig\nprint(ranksig.{name}.__name__)\n")
+        assert out == f"ranksig.{name}\n"
+
+    def test_star_import_binds_the_public_names(self):
+        out = _in_new_process(
+            "ns = {}\n"
+            "exec('from ranksig import *', ns)\n"
+            "print(' '.join(sorted(k for k in ns if k != '__builtins__')))\n"
+        )
+        assert out.split() == PUBLIC_NAMES
+
+    def test_dir_lists_the_public_names(self):
+        out = _in_new_process("import ranksig\nprint(' '.join(dir(ranksig)))\n")
+        assert set(PUBLIC_NAMES) <= set(out.split())
+
+    def test_unknown_attribute(self):
+        assert not hasattr(ranksig, "no_such_name")
+
 
 class TestCountedWarnings:
     """Degenerate pairs and tables are counted on one stderr line per kind."""
@@ -415,15 +527,32 @@ class TestCountedWarnings:
             "over a degenerate pool: z defined as 0\n"
         )
 
-    def test_degenerate_table_before_an_error(self, tmp_path, degenerate):
+    def test_degenerate_table_in_pairwise(self, tmp_path, degenerate):
+        # the top10 column total is zero: the report keeps the observed
+        # counts and both z lines, and says the chi-square test is undefined
         result = _python("-m", "ranksig.cli", "pairwise", "--input", degenerate, "A", "B",
                          cwd=tmp_path)
-        assert result.returncode == 2
-        assert result.stderr.splitlines() == [
-            "ranksig: error: expected cell ('A', 'top10') is zero",
-            "ranksig: warning: 2 x DegenerateTableWarning: table has a zero row or "
-            "column total; expected cells there are zero",
-        ]
+        assert result.returncode == 0
+        assert result.stdout == (
+            "Pairwise comparison: A vs B\n"
+            "period=2015-2018  field=All sciences  counting=frac\n"
+            "\n"
+            "Observed counts\n"
+            "observed  top10    other    total\n"
+            "A          0.00  1000.00  1000.00\n"
+            "B          0.00  1000.00  1000.00\n"
+            "total      0.00  2000.00  2000.00\n"
+            "\n"
+            "chi-square test undefined: a row or column total is zero\n"
+            "\n"
+            "Two-proportion z\n"
+            "z (stored shares) = 0.000   (n.s.)\n"
+            "z (exact ratios)  = 0.000   (n.s.)\n"
+        )
+        assert result.stderr == (
+            "ranksig: warning: 2 x DegeneratePoolWarning: identical proportions "
+            "over a degenerate pool: z defined as 0\n"
+        )
 
     def test_stderr_unchanged_without_degenerate_pairs(self, tmp_path):
         result = _python("-m", "ranksig.cli", "group", cwd=tmp_path)

@@ -242,7 +242,8 @@ def test_round_trip(records):
     assert parsed == records
 
 
-@pytest.mark.parametrize("name", ["Uni\nY", "Uni\u2028Y", "Uni\x85Y", "Uni\x0cY"], ids=repr)
+@pytest.mark.parametrize("name", ["Uni\nY", "Uni\rY", "Uni\u2028Y", "Uni\x85Y", "Uni\x0cY"],
+                         ids=repr)
 def test_round_trip_of_line_breaks_in_names(name):
     rec = InstitutionRecord(name=name, country="CN", period="2015-2018", field="F",
                             counting=Counting.FULL, p=10.0, t_top10=1.0, pp_top10=0.1)
