@@ -21,19 +21,18 @@ from __future__ import annotations
 import argparse
 import csv
 import importlib
-import io
 import os
 import sys
 import warnings
 from collections import Counter
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .errors import (
     ConstantInput, DegeneratePoolWarning, DegenerateTable, DegenerateTableWarning,
     DuplicateRecord, MalformedRow, MixedSlices, NoMatch, RanksigError, UnknownInstitution,
 )
-from .export import GRAPH_FORMATS
+from .export import GRAPH_FORMATS, csv_line
 
 if TYPE_CHECKING:
     from .ingest import InstitutionRecord
@@ -150,40 +149,27 @@ def _graph_for(args, records, criterion_token: str) -> SignificanceGraph:
     _bind("build_graph")
     return build_graph(
         records,
-        criterion=Criterion.Z_TEST if criterion_token == "ztest" else Criterion.CI_OVERLAP,
+        criterion=Criterion(criterion_token),
         threshold=stats.threshold_for_alpha(float(args.alpha)),
         proportions=args.proportions,
     )
 
 
-def _grouping_for(args, graph: SignificanceGraph) -> Grouping:
-    _bind("cluster", "weak_components")
-    if getattr(args, "grouping", "components") == "modularity":
-        return cluster(graph, resolution=args.resolution, seed=args.seed)
-    return weak_components(graph)
-
-
-def _tier_labels(grouping: Grouping) -> Dict[str, str]:
-    """Ordered-tier labels: tier1..tierK for regular groups, isolate for isolates."""
+def _tiers(grouping: Grouping) -> Tuple[Dict[str, str], Dict[str, int]]:
+    """Tier label and ordinal of each name: tier1..tierK and 1..K for the
+    regular groups in order, isolate and K + 1 for the isolates (listed last)."""
     labels: Dict[str, str] = {}
+    ordinals: Dict[str, int] = {}
     tier = 0
     for gid in grouping.group_order:
         members = grouping.members(gid)
         if len(members) == 1 and members[0] in grouping.isolates:
-            labels[members[0]] = "isolate"
+            labels[members[0]], ordinals[members[0]] = "isolate", tier + 1
         else:
             tier += 1
             for name in members:
-                labels[name] = f"tier{tier}"
-    return labels
-
-
-def _tier_ordinals(labels: Dict[str, str]) -> Dict[str, int]:
-    n_tiers = len({v for v in labels.values() if v != "isolate"})
-    out = {}
-    for name, label in labels.items():
-        out[name] = n_tiers + 1 if label == "isolate" else int(label[4:])
-    return out
+                labels[name], ordinals[name] = f"tier{tier}", tier
+    return labels, ordinals
 
 
 def _read_labels(path: str) -> Dict[str, str]:
@@ -292,20 +278,13 @@ def cmd_pairwise(args) -> int:
 # ---------------------------------------------------------------- group
 
 def _group_tables_csv(tables) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["group", "isolate", "name", "z", "overall_rank", "within_group_rank"])
+    lines = [csv_line(("group", "isolate", "name", "z", "overall_rank", "within_group_rank"))]
     for t in tables:
+        isolate = "true" if t.isolate else "false"
         for row in t.rows:
-            writer.writerow([
-                t.group + 1,
-                "true" if t.isolate else "false",
-                row.name,
-                repr(row.z),
-                row.overall_rank,
-                row.within_group_rank,
-            ])
-    return buf.getvalue()
+            lines.append(csv_line((t.group + 1, isolate, row.name, repr(row.z),
+                                   row.overall_rank, row.within_group_rank)))
+    return "".join(lines)
 
 
 def _group_tables_text(tables, bold) -> str:
@@ -326,8 +305,11 @@ def cmd_group(args) -> int:
     if len(records) < 2:
         raise NoMatch("grouping needs at least two institutions after selection")
     graph = _graph_for(args, records, args.criterion)
-    grouping = _grouping_for(args, graph)
-    _bind("rank_groups", "write_graph")
+    _bind("cluster", "weak_components", "rank_groups", "write_graph")
+    if args.grouping == "modularity":
+        grouping = cluster(graph, resolution=args.resolution, seed=args.seed)
+    else:
+        grouping = weak_components(graph)
     tables = rank_groups(graph, grouping)
 
     n_groups = sum(1 for t in tables if not t.isolate)
@@ -424,7 +406,7 @@ def cmd_compare(args) -> int:
     bold = _styler(plain=bool(args.out))
     if args.labels_a or args.labels_b:
         if not (args.labels_a and args.labels_b):
-            raise MalformedRow(0, "--labels-a and --labels-b must be given together")
+            raise RanksigError("--labels-a and --labels-b must be given together")
         sides = [
             (_read_labels(path), f"{flag} {path}", "category", "give it two or more")
             for flag, path in (("--labels-a", args.labels_a), ("--labels-b", args.labels_b))
@@ -434,8 +416,8 @@ def cmd_compare(args) -> int:
         )
     elif args.split_by_country:
         records = _load_records(args)
-        graph = _graph_for(args, records, args.criterion)
-        tiers = _tier_labels(_grouping_for(args, graph))
+        _bind("weak_components")
+        tiers, _ = _tiers(weak_components(_graph_for(args, records, args.criterion)))
         countries = {r.name: r.country for r in records}
         sides = [
             (countries, "the country labelling", "country",
@@ -447,15 +429,18 @@ def cmd_compare(args) -> int:
         )
     else:
         records = _load_records(args)
-        tiers_a = _tier_labels(_grouping_for(args, _graph_for(args, records, args.criterion)))
-        tiers_b = _tier_labels(_grouping_for(args, _graph_for(args, records, args.criterion_b)))
+        _bind("weak_components")
+        (tiers_a, ordinals_a), (tiers_b, ordinals_b) = (
+            _tiers(weak_components(_graph_for(args, records, token)))
+            for token in (args.criterion, args.criterion_b)
+        )
         sides = [
             (tiers_a, *_tier_side("--criterion", args.criterion)),
             (tiers_b, *_tier_side("--criterion-b", args.criterion_b)),
         ]
         report = _compare_report(
             sides,
-            (_tier_ordinals(tiers_a), _tier_ordinals(tiers_b)),
+            (ordinals_a, ordinals_b),
             f"Association: {args.criterion} tiers vs {args.criterion_b} tiers", bold,
         )
     _emit(report, args.out)
@@ -513,13 +498,11 @@ def cmd_zcurve(args) -> int:
     from . import compare as cmp_mod
     records = _load_records(args)
     series = cmp_mod.z_distribution_series(cmp_mod.scores_by_category(records))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["category", "rank", "institution", "z"])
+    lines = [csv_line(("category", "rank", "institution", "z"))]
     for category in sorted(series):
         for point in series[category]:
-            writer.writerow([category, point.rank, point.name, repr(point.z)])
-    _emit(buf.getvalue(), args.out)
+            lines.append(csv_line((category, point.rank, point.name, repr(point.z))))
+    _emit("".join(lines), args.out)
     return 0
 
 
@@ -559,12 +542,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="significance level for the z threshold (default: 0.01)")
     analysis.add_argument("--proportions", choices=("stored", "exact"), default="stored",
                           help="feed stored shares or exact t/p ratios into the z-test")
-    analysis.add_argument("--resolution", type=float, default=1.0,
-                          help="modularity resolution (default: 1.0)")
-    analysis.add_argument("--seed", type=int, default=0,
-                          help="seed for the clustering node order (default: 0)")
-    analysis.add_argument("--format", choices=GRAPH_FORMATS, default="csv",
-                          help="graph file format (default: csv edge list)")
+    graph_format = dict(choices=GRAPH_FORMATS, default="csv",
+                        help="graph file format (default: csv edge list)")
 
     parser = argparse.ArgumentParser(
         prog="ranksig",
@@ -580,6 +559,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("group", parents=[io_flags, analysis],
                        help="build the significance graph and rank its tiers")
+    p.add_argument("--resolution", type=float, default=1.0,
+                   help="modularity resolution (default: 1.0)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the clustering node order (default: 0)")
+    p.add_argument("--format", **graph_format)
     p.add_argument("--grouping", choices=("components", "modularity"),
                    default="components",
                    help="weak components (default) or modularity clustering")
@@ -619,6 +603,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", parents=[io_flags, analysis],
                        help="write the significance graph to a file format")
+    p.add_argument("--format", **graph_format)
     p.set_defaults(func=cmd_export)
 
     return parser

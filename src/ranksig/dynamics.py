@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Tuple
 
-from .errors import AmbiguousPeriodLabel, EmptyInstitution
+from .errors import AmbiguousPeriodLabel, EmptyInstitution, InvalidStatistic
 
 if TYPE_CHECKING:
     from .ingest import InstitutionRecord
@@ -116,9 +116,9 @@ def bootstrap_interval(
             f"{rec.name}: need at least one publication to resample (p={rec.p})"
         )
     if draws < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
+        raise InvalidStatistic(f"draws must be >= 1, got {draws}")
     if not (0 < coverage < 1):
-        raise ValueError(f"coverage must lie in (0, 1), got {coverage}")
+        raise InvalidStatistic(f"coverage must lie in (0, 1), got {coverage}")
 
     n = round(rec.p)
     rng = np.random.default_rng(_stream_seed(seed, rec.name))
@@ -146,7 +146,7 @@ def decompose_change(
     """
     for v in (reported_old, reconstructed_old, current):
         if not math.isfinite(v):
-            raise ValueError(f"decomposition inputs must be finite, got {v}")
+            raise InvalidStatistic(f"decomposition inputs must be finite, got {v}")
     data_effect = reported_old - reconstructed_old
     model_effect = reconstructed_old - current
     total = data_effect + model_effect

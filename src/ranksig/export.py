@@ -7,8 +7,6 @@ of a SignificanceGraph, one block of ``_EDGE_BLOCK`` edges per chunk:
 
 from __future__ import annotations
 
-import csv
-import io
 import sys
 from typing import TYPE_CHECKING
 
@@ -83,16 +81,19 @@ def _vjson_chunks(g: SignificanceGraph):
     yield ("\n    ]" if g.edge_count else "") + "\n  }\n}\n"
 
 
-def _csv_field(value: str) -> str:
-    """``value`` quoted as csv.writer quotes a field of a row."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((value, ""))
-    return buf.getvalue()[:-2]
+def csv_line(cells) -> str:
+    """``cells`` as one CSV line, each field as csv.writer writes it, except that
+    a lone ``\\r`` is quoted too, so that csv.reader reads the row back whole."""
+    fields = [str(cell) for cell in cells]
+    for k, text in enumerate(fields):
+        if "," in text or '"' in text or "\r" in text or "\n" in text:
+            fields[k] = '"' + text.replace('"', '""') + '"'
+    return ",".join(fields) + "\n"
 
 
 def _edge_csv_chunks(g: SignificanceGraph):
     """Edge list CSV (isolated nodes do not appear; use the rank tables for nodes)."""
-    fields = [_csv_field(name) for name in g.names]
+    fields = [csv_line((name,))[:-1] for name in g.names]
     flags = ("false", "true")
     yield "source,target,z,strong\n"
     for s in _blocks(g):

@@ -33,6 +33,7 @@ from .errors import (
     MissingInterval,
     NoMatch,
 )
+from .export import csv_line
 
 __all__ = [
     "Counting",
@@ -390,21 +391,11 @@ def dump_records(records: Iterable[InstitutionRecord]) -> str:
     Reals are written with full precision, so parsing the output yields
     field-identical records.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    # with "\n" as the line terminator csv.writer leaves a lone "\r" unquoted,
-    # and the reader would end the row there: quote every cell of such a row
-    quoting = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    writer.writerow(_COLUMNS)
+    lines = [csv_line(_COLUMNS)]
     for rec in records:
-        text = (rec.name, rec.country, rec.period, rec.field)
-        (quoting if any("\r" in cell for cell in text) else writer).writerow([
-            *text,
-            rec.counting.value,
-            _fmt(rec.p),
-            _fmt(rec.t_top10),
-            _fmt(rec.pp_top10),
-            _fmt(rec.ci_lower),
-            _fmt(rec.ci_upper),
-        ])
-    return buf.getvalue()
+        lines.append(csv_line((
+            rec.name, rec.country, rec.period, rec.field, rec.counting.value,
+            _fmt(rec.p), _fmt(rec.t_top10), _fmt(rec.pp_top10),
+            _fmt(rec.ci_lower), _fmt(rec.ci_upper),
+        )))
+    return "".join(lines)

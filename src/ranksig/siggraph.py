@@ -12,10 +12,9 @@ Everything here is deterministic: node and edge order are canonical
 (sorted by name), and the clustering uses a seeded node order, so results
 do not depend on input order or evaluation order.
 
-numpy is imported inside the functions that run array code, not at
-module level, so ``import ranksig`` and the commands that build no graph
-start without its import cost; ``TestStartup`` in ``tests/test_cli.py``
-checks this.
+Edges are numpy arrays. Only the commands that build a graph (``group``,
+``compare`` and ``export``) import this module, so ``import ranksig`` and
+the other commands start without numpy's import cost.
 """
 
 import enum
@@ -23,6 +22,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import DuplicateRecord, InvalidStatistic, MissingInterval
 from .ingest import InstitutionRecord
@@ -105,8 +106,6 @@ class SignificanceGraph:
     """
 
     def __init__(self, nodes: Iterable[GraphNode], edges: Iterable[GraphEdge]):
-        import numpy as np
-
         nodes = tuple(sorted(nodes, key=lambda n: n.name))
         index = {n.name: i for i, n in enumerate(nodes)}
         if len(index) != len(nodes):
@@ -171,8 +170,6 @@ class SignificanceGraph:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        import numpy as np
-
         return (
             self.nodes == other.nodes
             and np.array_equal(self.src, other.src)
@@ -293,8 +290,6 @@ def build_graph(
     go through ``link_z`` itself, in name order: it warns and returns 0
     or raises DegeneratePool exactly as a pair-by-pair loop would.
     """
-    import numpy as np
-
     recs = sorted(records, key=lambda r: r.name)
     if len({r.name for r in recs}) != len(recs):
         raise DuplicateRecord("records passed to build_graph must have unique names")
@@ -385,8 +380,6 @@ def weak_components(g: SignificanceGraph) -> Grouping:
 
     Min-label hooking and pointer jumping on the edge arrays.
     """
-    import numpy as np
-
     n = len(g.nodes)
     label = np.arange(n)
     while True:
@@ -422,8 +415,6 @@ def modularity(
     on unweighted edges. Defined as 0 for an edgeless graph. Q <= 1, and a
     partition into all singletons is never positive.
     """
-    import numpy as np
-
     _check_partition(g, partition)
     m = g.edge_count
     if m == 0:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import importlib
@@ -334,6 +335,107 @@ class TestErrorPaths:
     def test_usage_error_exit_2(self, capsys):
         code, _, err = run(capsys, "group", "--criterion", "astrology")
         assert code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (("decompose", "nan", "1", "2"), "decomposition inputs must be finite, got nan"),
+        (("decompose", "inf", "1", "2"), "decomposition inputs must be finite, got inf"),
+        (("bootstrap", "--name", "Peking University", "--draws", "0"),
+         "draws must be >= 1, got 0"),
+        (("bootstrap", "--name", "Peking University", "--coverage", "1.5"),
+         "coverage must lie in (0, 1), got 1.5"),
+        (("compare", "--labels-a", "labels.csv"),
+         "--labels-a and --labels-b must be given together"),
+    ], ids=["decompose-nan", "decompose-inf", "bootstrap-draws", "bootstrap-coverage",
+            "compare-one-labels-file"])
+    def test_bad_argument_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err == f"ranksig: error: {message}\n"
+        assert out == ""
+
+
+_IO = ("-h", "--help", "--input", "--period", "--field", "--counting", "--countries", "--out")
+_ANALYSIS = ("--criterion", "--alpha", "--proportions")
+
+# every subcommand's option strings, in help order: a flag added to a shared
+# parent parser shows up here
+OPTIONS = {
+    "pairwise": _IO,
+    "group": _IO + _ANALYSIS + ("--resolution", "--seed", "--format", "--grouping",
+                                "--graph-out"),
+    "compare": _IO + _ANALYSIS + ("--criterion-b", "--labels-a", "--labels-b",
+                                  "--split-by-country"),
+    "decompose": ("-h", "--help", "--out"),
+    "bootstrap": _IO + ("--name", "--draws", "--coverage", "--seed"),
+    "zcurve": _IO,
+    "export": _IO + _ANALYSIS + ("--format",),
+}
+
+
+class TestOptions:
+    def test_option_table(self):
+        (commands,) = (a for a in cli._build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+        assert {
+            name: tuple(s for action in p._actions for s in action.option_strings)
+            for name, p in commands.choices.items()
+        } == OPTIONS
+
+    @pytest.mark.parametrize("argv", [
+        ("compare", "--seed", "3"),
+        ("compare", "--resolution", "2"),
+        ("compare", "--format", "dot"),
+        ("export", "--seed", "3"),
+        ("export", "--resolution", "2"),
+    ], ids=" ".join)
+    def test_flag_the_command_does_not_read_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+        assert out == ""
+
+
+class TestLineBreakInName:
+    """A name holding a lone carriage return reads back whole from every CSV output."""
+
+    NAME = "Uni\rY"
+
+    @pytest.fixture
+    def edition(self, tmp_path):
+        # Peking University is on the trio's only edge
+        records = [dataclasses.replace(r, name=self.NAME) if r.name == "Peking University"
+                   else r for r in ranksig.data.trio_records()]
+        path = tmp_path / "cr.csv"
+        path.write_text(dump_records(records), encoding="utf-8")
+        return str(path)
+
+    @staticmethod
+    def _rows(path, width):
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [width] * len(rows)
+        return rows[1:]
+
+    def test_tier_and_edge_csv(self, capsys, tmp_path, edition):
+        tiers, edges = tmp_path / "t.csv", tmp_path / "g.csv"
+        code, _, _ = run(capsys, "group", "--input", edition, "--out", str(tiers),
+                         "--graph-out", str(edges), "--format", "csv")
+        assert code == 0
+        assert self.NAME in [row[2] for row in self._rows(tiers, 6)]
+        assert [row[:2] for row in self._rows(edges, 4)] == [[self.NAME, "Zhejiang University"]]
+
+    def test_export_csv(self, capsys, tmp_path, edition):
+        out = tmp_path / "x.csv"
+        code, _, _ = run(capsys, "export", "--input", edition, "--format", "csv",
+                         "--out", str(out))
+        assert code == 0
+        assert [row[:2] for row in self._rows(out, 4)] == [[self.NAME, "Zhejiang University"]]
+
+    def test_zcurve_csv(self, capsys, tmp_path, edition):
+        out = tmp_path / "z.csv"
+        code, _, _ = run(capsys, "zcurve", "--input", edition, "--out", str(out))
+        assert code == 0
+        assert self.NAME in [row[2] for row in self._rows(out, 4)]
 
 
 def _python(*args, cwd=None):

@@ -11,7 +11,7 @@ from ranksig.dynamics import (
     decompose_change,
     series_view,
 )
-from ranksig.errors import AmbiguousPeriodLabel, EmptyInstitution
+from ranksig.errors import AmbiguousPeriodLabel, EmptyInstitution, InvalidStatistic
 
 from conftest import make_record
 
@@ -53,7 +53,7 @@ class TestDecompose:
         assert d.model_effect == pytest.approx(-0.5)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidStatistic):
             decompose_change(float("inf"), 1.0, 2.0)
 
 
@@ -112,9 +112,9 @@ class TestBootstrap:
 
     def test_bad_arguments(self):
         rec = make_record(name="U", p=100.0, pp=0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidStatistic):
             bootstrap_interval(rec, draws=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidStatistic):
             bootstrap_interval(rec, coverage=1.0)
 
 

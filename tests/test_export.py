@@ -17,9 +17,10 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ranksig import export
-from ranksig.export import GRAPH_FORMATS, render_graph, write_graph
+from ranksig.export import GRAPH_FORMATS, csv_line, render_graph, write_graph
 from ranksig.siggraph import Criterion, GraphEdge, SignificanceGraph, build_graph
 
 from conftest import make_record
@@ -210,3 +211,19 @@ def test_vjson_stream_memory_is_bounded(tmp_path):
     size = path.stat().st_size
     assert g.edge_count > 100_000
     assert peak < size / 8, (peak, size)
+
+
+# the characters csv quoting turns on, plus a few it must leave alone
+_CSV_TEXT = st.text(st.sampled_from(list("ab ,\"\n\r\t'\\é")))
+
+
+@given(st.lists(_CSV_TEXT.filter(lambda t: "\r" not in t), min_size=2, max_size=5))
+def test_csv_line_matches_csv_writer_without_carriage_returns(cells):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    assert csv_line(cells) == buf.getvalue()
+
+
+@given(st.lists(_CSV_TEXT, min_size=2, max_size=5))
+def test_csv_line_reads_back_whole(cells):
+    assert list(csv.reader(io.StringIO(csv_line(cells), newline=""))) == [cells]
