@@ -161,8 +161,7 @@ def _tiers(grouping: Grouping) -> Tuple[Dict[str, str], Dict[str, int]]:
     labels: Dict[str, str] = {}
     ordinals: Dict[str, int] = {}
     tier = 0
-    for gid in grouping.group_order:
-        members = grouping.members(gid)
+    for members in grouping.groups():
         if len(members) == 1 and members[0] in grouping.isolates:
             labels[members[0]], ordinals[members[0]] = "isolate", tier + 1
         else:
@@ -216,11 +215,14 @@ def cmd_pairwise(args) -> int:
     b = _find(records, args.b)
 
     bold = _styler(plain=bool(args.out))
+    # before the table, so that an institution with no papers is named
+    z_stored = stats.link_z(a, b, "stored")
+    z_exact = stats.link_z(a, b, "exact")
     table = stats.pair_table(a, b)
     # a zero column total (no top-10% papers, or only those, on both sides)
     # leaves expected cells of zero: chi-square is undefined, z is defined as
-    # 0 as in group; a zero row total (no papers) fails in link_z
-    if 0 in table.row_totals or 0 in table.col_totals:
+    # 0 as in group
+    if 0 in table.col_totals:
         chi_part = ["chi-square test undefined: a row or column total is zero"]
     else:
         expected = stats.expected_table(table)
@@ -239,8 +241,6 @@ def cmd_pairwise(args) -> int:
             bold("Standardized residuals"),
             _matrix_grid("residual", table, resid, margins=False),
         ]
-    z_stored = stats.link_z(a, b, "stored")
-    z_exact = stats.link_z(a, b, "exact")
 
     parts = [
         bold(f"Pairwise comparison: {a.name} vs {b.name}"),

@@ -246,7 +246,12 @@ class Grouping:
         return tuple(sorted(n for n, g in self.assignment.items() if g == group_id))
 
     def groups(self) -> Tuple[Tuple[str, ...], ...]:
-        return tuple(self.members(g) for g in self.group_order)
+        """``members(g)`` for each g in ``group_order``, from one pass over the assignment."""
+        buckets: Dict[int, List[str]] = {g: [] for g in self.group_order}
+        for name, g in self.assignment.items():
+            if g in buckets:
+                buckets[g].append(name)
+        return tuple(tuple(sorted(buckets[g])) for g in self.group_order)
 
 
 @dataclass(frozen=True)
@@ -445,34 +450,36 @@ def _louvain(g: SignificanceGraph, resolution: float, seed: int) -> List[int]:
     seeded shuffle, candidate communities are scanned in sorted order, and
     ties keep the current community, so the result is a pure function of
     (graph, resolution, seed).
+
+    Each level is edge arrays: pairs ``a < b`` of level nodes with weights
+    ``w``, and each level node's self-loop weight ``loop``; ``member`` maps
+    every node index to the level node that holds it. Weights are
+    integer-valued floats, so every sum is exact in any order: the order in
+    which a node's neighbours are scanned cannot change a decision.
     """
     rng = random.Random(seed)
-    n = len(g.nodes)
-    # nodes of the current aggregation level, each a list of node indices
-    level_nodes: List[List[int]] = [[i] for i in range(n)]
-    # neighbour keys in ascending order: edges come in (src, dst) order
-    graph: Dict[int, Dict[int, float]] = {i: {} for i in range(n)}
-    for i, j in zip(g.src.tolist(), g.dst.tolist()):
-        graph[i][j] = 1.0
-        graph[j][i] = 1.0
+    size = len(g.nodes)
+    member = np.arange(size)
+    a, b, w, loop = g.src, g.dst, np.ones(g.edge_count), np.zeros(size)
 
     while True:
-        ids = sorted(graph)
-        # self-loop weight graph[i][i] is the intra weight, counted twice in degree
-        degree = {}
-        for i in ids:
-            d = 0.0
-            for j, w in graph[i].items():
-                d += 2.0 * w if j == i else w
-            degree[i] = d
-        two_m = math.fsum(degree.values())
+        ends, others = np.concatenate((a, b)), np.concatenate((b, a))
+        ws = np.concatenate((w, w))
+        # a self-loop is intra weight, counted twice in its node's degree
+        degree = (np.bincount(ends, ws, size) + 2.0 * loop).tolist()
+        two_m = math.fsum(degree)
         if two_m == 0:
             break
+        # neighbour lists: the doubled pairs grouped by node (CSR offsets)
+        by_node = np.argsort(ends, kind="stable")
+        nbr, wt = others[by_node].tolist(), ws[by_node].tolist()
+        offsets = [0] + np.cumsum(np.bincount(ends, minlength=size)).tolist()
+        adjacency = [(nbr[s:e], wt[s:e]) for s, e in zip(offsets, offsets[1:])]
 
-        comm = {i: i for i in ids}
-        comm_tot = dict(degree)
+        comm = list(range(size))
+        comm_tot = list(degree)
 
-        order = list(ids)
+        order = list(range(size))
         rng.shuffle(order)
 
         moved_any = False
@@ -484,9 +491,8 @@ def _louvain(g: SignificanceGraph, resolution: float, seed: int) -> List[int]:
                 k_i = degree[i]
                 comm_tot[old] -= k_i
                 links: Dict[int, float] = {}
-                for j, w in graph[i].items():
-                    if j != i:
-                        links[comm[j]] = links.get(comm[j], 0.0) + w
+                for j, wj in zip(*adjacency[i]):
+                    links[comm[j]] = links.get(comm[j], 0.0) + wj
 
                 def score(c: int) -> float:
                     return links.get(c, 0.0) - resolution * k_i * comm_tot[c] / two_m
@@ -505,35 +511,20 @@ def _louvain(g: SignificanceGraph, resolution: float, seed: int) -> List[int]:
         if not moved_any:
             break
 
-        # aggregate communities into nodes of the next level
-        new_ids = {}
-        for i in ids:
-            new_ids.setdefault(comm[i], len(new_ids))
-        next_nodes: List[List[int]] = [[] for _ in range(len(new_ids))]
-        for i in ids:
-            next_nodes[new_ids[comm[i]]].extend(level_nodes[i])
-        next_graph: Dict[int, Dict[int, float]] = {c: {} for c in range(len(new_ids))}
-        for i in ids:
-            ci = new_ids[comm[i]]
-            for j, w in graph[i].items():
-                cj = new_ids[comm[j]]
-                if i == j:
-                    next_graph[ci][ci] = next_graph[ci].get(ci, 0.0) + w
-                elif i < j:
-                    if ci == cj:
-                        next_graph[ci][ci] = next_graph[ci].get(ci, 0.0) + w
-                    else:
-                        next_graph[ci][cj] = next_graph[ci].get(cj, 0.0) + w
-                        next_graph[cj][ci] = next_graph[cj].get(ci, 0.0) + w
+        # communities, numbered by first appearance, are the next level's nodes
+        new_ids: Dict[int, int] = {}
+        new = np.array([new_ids.setdefault(c, len(new_ids)) for c in comm], dtype=np.intp)
+        size = len(new_ids)
+        member, a, b = new[member], new[a], new[b]
+        intra = a == b
+        loop = np.bincount(new, loop, size) + np.bincount(a[intra], w[intra], size)
+        # parallel pairs between two communities merge into one weighted pair
+        a, b, w = a[~intra], b[~intra], w[~intra]
+        pairs, merged = np.unique(np.minimum(a, b) * size + np.maximum(a, b),
+                                  return_inverse=True)
+        a, b, w = pairs // size, pairs % size, np.bincount(merged, w, len(pairs))
 
-        level_nodes = next_nodes
-        graph = next_graph
-
-    membership = [0] * n
-    for c, members in enumerate(level_nodes):
-        for i in members:
-            membership[i] = c
-    return membership
+    return member.tolist()
 
 
 def cluster(
@@ -576,10 +567,8 @@ def rank_groups(g: SignificanceGraph, grouping: Grouping) -> Tuple[GroupTable, .
     overall = {name: i + 1 for i, name in enumerate(order)}
 
     tables = []
-    for gid in grouping.group_order:
-        members = sorted(
-            grouping.members(gid), key=lambda n: (-zmap[n], n)
-        )
+    for gid, members in zip(grouping.group_order, grouping.groups()):
+        members = sorted(members, key=lambda n: (-zmap[n], n))
         rows = tuple(
             RankedRow(
                 name=n,

@@ -418,6 +418,12 @@ def link_z(
     test; ``"exact"`` uses the t/p count ratios. Both pool via
     (t1 + t2) / (n1 + n2). Only the exact mode satisfies z^2 = chi-square
     of the 2x2 count table.
+
+    A pooled proportion of 0 or 1 means that neither institution has a
+    top-10% paper, or that every paper of both is one. In either mode the
+    test then reads the count ratios, which are equal, so z is 0 with a
+    DegeneratePoolWarning whatever the stored shares say. A pool that only
+    rounds to 1 while the counts differ still raises DegeneratePool.
     """
     if proportions not in ("stored", "exact"):
         raise InvalidStatistic(f"unknown proportion mode {proportions!r}")
@@ -426,7 +432,7 @@ def link_z(
     if b.p <= 0:
         raise EmptyInstitution(f"{b.name}: institution has no publications")
     pooled = pooled_proportion(a.t_top10, a.p, b.t_top10, b.p)
-    if proportions == "exact":
+    if proportions == "exact" or pooled in (0.0, 1.0):
         p1, p2 = a.t_top10 / a.p, b.t_top10 / b.p
     else:
         p1, p2 = a.pp_top10, b.pp_top10

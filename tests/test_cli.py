@@ -11,6 +11,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ranksig
 from ranksig import cli
@@ -330,6 +331,20 @@ class TestErrorPaths:
         code, out, err = run(capsys, "pairwise", "--input", str(path), "A", "B")
         assert code == 2
         assert "ceiling" in err and "internal error" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("pair, empty", [
+        (("Z1", "Z2"), "Z1"),
+        (("Peking University", "Z2"), "Z2"),
+    ], ids=["both-empty", "one-empty"])
+    def test_pairwise_names_the_empty_institution(self, capsys, tmp_path, pair, empty):
+        path = tmp_path / "empty.csv"
+        path.write_text(dump_records(ranksig.data.trio_records() + [
+            make_record(name=name, p=0.0, t=0.0, pp=0.0) for name in ("Z1", "Z2")
+        ]))
+        code, out, err = run(capsys, "pairwise", "--input", str(path), *pair)
+        assert code == 2
+        assert err == f"ranksig: error: {empty}: institution has no publications\n"
         assert out == ""
 
     def test_usage_error_exit_2(self, capsys):
@@ -684,3 +699,99 @@ class TestBenchTracerHooks:
         for module_name, attr, _ in spans.SPANS + spans.COUNTED:
             module = importlib.import_module(module_name)
             assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+class TestDegeneratePool:
+    """A pair whose pooled proportion is 0 or 1 gets z 0 and a counted warning."""
+
+    WARNING = ("ranksig: warning: {} x DegeneratePoolWarning: identical proportions "
+               "over a degenerate pool: z defined as 0\n")
+
+    # (t of D and E, their stored shares, their interval): no top-10% papers
+    # on either side, or only those; the stored shares still differ
+    @pytest.fixture(params=[(0.0, (0.04, 0.0), (0.0, 0.1)), (10.0, (1.0, 0.97), (0.9, 1.0))],
+                    ids=["pool-0", "pool-1"])
+    def edition(self, request, tmp_path, monkeypatch):
+        t, shares, ci = request.param
+        records = ranksig.data.trio_records() + [
+            make_record(name=name, p=10.0, t=t, pp=pp, ci=ci) for name, pp in zip("DE", shares)
+        ]
+        (tmp_path / "x.csv").write_text(dump_records(records), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        return t
+
+    def test_group_joins_the_pair(self, capsys, edition):
+        code, _, err = run(capsys, "group", "--input", "x.csv", "--out", "t.csv")
+        assert code == 0
+        assert err.endswith("wrote t.csv\n" + self.WARNING.format(1))
+        with open("t.csv", encoding="utf-8", newline="") as fh:
+            tier = {row[2]: row[0] for row in list(csv.reader(fh))[1:]}
+        assert tier["D"] == tier["E"]
+
+    @pytest.mark.parametrize("proportions", ["stored", "exact"])
+    def test_export_edge_has_z_0(self, capsys, edition, proportions):
+        code, out, err = run(capsys, "export", "--input", "x.csv", "--proportions", proportions)
+        assert code == 0
+        assert "D,E,0.0,false\n" in out
+        assert err == self.WARNING.format(1)
+
+    def test_pairwise(self, capsys, edition):
+        code, out, err = run(capsys, "pairwise", "--input", "x.csv", "D", "E")
+        assert code == 0
+        assert "z (stored shares) = 0.000" in out and "z (exact ratios)  = 0.000" in out
+        assert err == self.WARNING.format(2)
+
+    def test_compare(self, capsys, edition):
+        code, _, err = run(capsys, "compare", "--input", "x.csv")
+        assert err.endswith(self.WARNING.format(2))
+        if edition == 0.0:
+            # D and E, without top-10% papers, chain the edition into one z tier
+            assert code == 2 and "puts all 5 institutions in one tier" in err
+        else:
+            assert code == 0
+
+
+def _records_csv(rows):
+    """Dumped records from (p, t fraction, share offset, with interval) rows,
+    named U0, U1, ...; the stored share is t/p moved by the offset, which
+    ingest's tolerance allows at every p."""
+    records = []
+    for k, (p, frac, offset, with_ci) in enumerate(rows):
+        t = p * frac
+        pp = min(1.0, max(0.0, (t / p if p else 0.0) + offset))
+        ci = (max(0.0, pp - 0.05), min(1.0, pp + 0.05)) if with_ci else None
+        records.append(make_record(name=f"U{k}", p=p, t=t, pp=pp, ci=ci))
+    return dump_records(records)
+
+
+EDITION_ROWS = st.lists(
+    st.tuples(st.sampled_from((0.0, 0.5, 1.0, 3.0, 10.0, 1e6)),
+              st.sampled_from((0.0, 1.0, 0.5)), st.sampled_from((0.0, 0.004, -0.004)),
+              st.booleans()),
+    min_size=2, max_size=6,
+)
+
+EXIT_CALLS = [
+    ("group", "--criterion", criterion, "--grouping", grouping, "--proportions", proportions)
+    for criterion in ("ztest", "ci")
+    for grouping in ("components", "modularity")
+    for proportions in ("stored", "exact")
+] + [("pairwise", "U0", "U1"), ("compare",), ("export",), ("zcurve",)]
+
+
+class TestExitCodes:
+    """Over generated editions, the CLI exits 0 or 2, never 1."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=EDITION_ROWS)
+    def test_only_0_or_2(self, capsys, tmp_path, rows):
+        path = tmp_path / "edition.csv"
+        path.write_text(_records_csv(rows), encoding="utf-8")
+        every_p_positive = all(row[0] > 0 for row in rows)
+        for argv in EXIT_CALLS:
+            code, _, err = run(capsys, *argv, "--input", str(path))
+            assert code in (0, 2), (argv, err)
+            if every_p_positive and argv[:3] in (("group", "--criterion", "ztest"),
+                                                 ("pairwise", "U0", "U1"), ("export",)):
+                assert code == 0, (argv, err)

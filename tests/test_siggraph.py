@@ -13,7 +13,9 @@ from ranksig.siggraph import (
     Criterion,
     GraphEdge,
     GraphNode,
+    GroupTable,
     Grouping,
+    RankedRow,
     SignificanceGraph,
     _louvain,
     _make_grouping,
@@ -715,3 +717,51 @@ class TestRankGroups:
         assert tables[0].rows[0].name == "a"
         assert tables[1].rows[0].name == "big lone"
         assert tables[1].rows[0].overall_rank == 1
+
+
+@st.composite
+def groupings(draw):
+    """Any assignment and group_order: ids may repeat, be missing or name no member."""
+    names = draw(st.lists(st.text(min_size=1, max_size=3), max_size=20, unique=True))
+    ids = st.integers(0, 6)
+    return Grouping(
+        assignment={name: draw(ids) for name in names},
+        group_order=tuple(draw(st.lists(ids, max_size=10))),
+        isolates=frozenset(draw(st.sets(st.sampled_from(names)))) if names else frozenset(),
+    )
+
+
+def members_rank_groups(g, grouping):
+    """rank_groups with one members() scan per group: the reference."""
+    zmap = g.node_z
+    order = sorted(zmap, key=lambda n: (-zmap[n], n))
+    overall = {name: i + 1 for i, name in enumerate(order)}
+    tables = []
+    for gid in grouping.group_order:
+        members = sorted(grouping.members(gid), key=lambda n: (-zmap[n], n))
+        rows = tuple(RankedRow(n, zmap[n], overall[n], i + 1) for i, n in enumerate(members))
+        isolate = len(members) == 1 and members[0] in grouping.isolates
+        tables.append(GroupTable(group=gid, isolate=isolate, rows=rows))
+    return tuple(tables)
+
+
+class TestGroupsOnePass:
+    """Grouping.groups() and rank_groups read the assignment once."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(groupings())
+    def test_groups_equal_members(self, grouping):
+        assert grouping.groups() == tuple(grouping.members(g) for g in grouping.group_order)
+
+    def test_rank_groups_many_groups(self):
+        rng = np.random.default_rng(3)
+        names = [f"n{i:04d}" for i in range(3000)]
+        g = SignificanceGraph.from_scores([(n, float(rng.integers(-20, 20))) for n in names])
+        grouping = Grouping(
+            assignment={n: int(c) for n, c in zip(names, rng.integers(0, 2000, size=3000))},
+            group_order=tuple(rng.permutation(2000).tolist()),
+            isolates=frozenset(names[::60]),
+        )
+        tables = rank_groups(g, grouping)
+        assert tables == members_rank_groups(g, grouping)
+        assert sum(len(t.rows) for t in tables) == 3000

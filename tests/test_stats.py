@@ -246,6 +246,26 @@ class TestZTwoProportions:
             z_two_proportions(0.1, 0, 0.1, 10, 0.1)
 
 
+class TestLinkZDegeneratePool:
+    """A pool of 0 or 1 reads the count ratios, equal on both sides, whatever the shares."""
+
+    @pytest.mark.parametrize("proportions", ["stored", "exact"])
+    @pytest.mark.parametrize("t, shares", [(0.0, (0.04, 0.0)), (10.0, (1.0, 0.97))],
+                             ids=["pool-0", "pool-1"])
+    def test_zero_with_warning(self, proportions, t, shares):
+        a, b = (make_record(name=name, p=10.0, t=t, pp=pp) for name, pp in zip("DE", shares))
+        with pytest.warns(DegeneratePoolWarning):
+            assert link_z(a, b, proportions) == 0.0
+
+    def test_pool_that_rounds_to_1_still_raises(self):
+        # (10 + t) / 20 rounds to 1 while t / 10 stays below 1
+        a = make_record(name="A", p=10.0, t=10.0, pp=1.0)
+        b = make_record(name="B", p=10.0, t=math.nextafter(10.0, 0.0), pp=1.0)
+        for proportions in ("stored", "exact"):
+            with pytest.raises(DegeneratePool):
+                link_z(a, b, proportions)
+
+
 class TestZVsExpectation:
     def test_at_expectation_is_zero(self):
         assert z_vs_expectation(make_record(p=123.0, pp=0.1)) == 0.0
