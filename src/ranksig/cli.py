@@ -650,5 +650,17 @@ def main(argv=None) -> int:
             print(f"ranksig: warning: {n} x {kind.__name__}: {message}", file=sys.stderr)
 
 
+def _entry() -> int:
+    """Process entry (``python -m ranksig.cli`` and the console script): ``main``,
+    then the heap frozen, so that the interpreter's exit-time collections
+    skip every object the run left behind (numpy's import alone makes about
+    20k). ``main`` itself does not freeze: tests and benchmarks call it
+    in-process."""
+    status = main()
+    import gc
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_entry())

@@ -293,7 +293,7 @@ def build_graph(
     each z is bit-equal to the scalar value. Pairs the scalar test treats
     specially (pooled proportion 0 or 1, zero or non-finite intermediates)
     go through ``link_z`` itself, in name order: it warns and returns 0
-    or raises DegeneratePool exactly as a pair-by-pair loop would.
+    exactly as a pair-by-pair loop would.
     """
     recs = sorted(records, key=lambda r: r.name)
     if len({r.name for r in recs}) != len(recs):

@@ -248,6 +248,9 @@ def pooled_proportion(t1: float, n1: float, t2: float, n2: float) -> float:
     return (t1 + t2) / (n1 + n2)
 
 
+_DEGENERATE_ZERO = "identical proportions over a degenerate pool: z defined as 0"
+
+
 def z_two_proportions(
     p1: float, n1: float, p2: float, n2: float, pooled: float
 ) -> float:
@@ -270,11 +273,7 @@ def z_two_proportions(
         raise InvalidStatistic(f"pooled proportion must lie in [0, 1], got {pooled}")
     if pooled in (0.0, 1.0):
         if p1 == p2:
-            warnings.warn(
-                "identical proportions over a degenerate pool: z defined as 0",
-                DegeneratePoolWarning,
-                stacklevel=2,
-            )
+            warnings.warn(_DEGENERATE_ZERO, DegeneratePoolWarning, stacklevel=2)
             return 0.0
         raise DegeneratePool(
             f"pooled proportion is {pooled:g} but the proportions differ "
@@ -420,10 +419,10 @@ def link_z(
     of the 2x2 count table.
 
     A pooled proportion of 0 or 1 means that neither institution has a
-    top-10% paper, or that every paper of both is one. In either mode the
-    test then reads the count ratios, which are equal, so z is 0 with a
-    DegeneratePoolWarning whatever the stored shares say. A pool that only
-    rounds to 1 while the counts differ still raises DegeneratePool.
+    top-10% paper, or that every paper of both is one, at least up to
+    rounding. In either mode z is then 0 with a DegeneratePoolWarning,
+    whatever the stored shares or the count ratios say: the pooled
+    variance is 0, so no difference can be tested.
     """
     if proportions not in ("stored", "exact"):
         raise InvalidStatistic(f"unknown proportion mode {proportions!r}")
@@ -432,7 +431,10 @@ def link_z(
     if b.p <= 0:
         raise EmptyInstitution(f"{b.name}: institution has no publications")
     pooled = pooled_proportion(a.t_top10, a.p, b.t_top10, b.p)
-    if proportions == "exact" or pooled in (0.0, 1.0):
+    if pooled in (0.0, 1.0):
+        warnings.warn(_DEGENERATE_ZERO, DegeneratePoolWarning, stacklevel=2)
+        return 0.0
+    if proportions == "exact":
         p1, p2 = a.t_top10 / a.p, b.t_top10 / b.p
     else:
         p1, p2 = a.pp_top10, b.pp_top10

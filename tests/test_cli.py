@@ -1,8 +1,10 @@
 import argparse
 import csv
 import dataclasses
+import gc
 import importlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,9 +16,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ranksig
-from ranksig import cli
+from ranksig import cli, export
 from ranksig.cli import main
-from ranksig.ingest import dump_records
+from ranksig.export import render_graph
+from ranksig.ingest import dump_records, load_records
+from ranksig.siggraph import build_graph
 
 from conftest import make_record
 
@@ -537,6 +541,45 @@ class TestStartup:
         assert {m for m in loaded if m.split(".")[0] == "ranksig"} == {"ranksig"}
 
 
+class TestProcessEntry:
+    """A new process runs main, then freezes the heap before the interpreter
+    tears down; main itself freezes nothing, so in-process callers keep
+    their collector as it was."""
+
+    def test_main_does_not_freeze(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["group"]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_module_entry_freezes_after_main(self):
+        script = ("import atexit, gc, runpy, sys\n"
+                  "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+                  "sys.argv = ['ranksig', 'decompose', '9.81', '9.54', '9.03']\n"
+                  "runpy.run_module('ranksig.cli', run_name='__main__')\n")
+        result = _python("-c", script)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.endswith("frozen True\n")
+
+    def test_large_graph_file_in_a_new_process(self, capsys, tmp_path, monkeypatch):
+        records = [make_record(name=f"Univ {k:03d}", p=1000.0 + 7 * k, pp=0.1 + 1e-5 * (k % 97))
+                   for k in range(300)]
+        (tmp_path / "x.csv").write_text(dump_records(records), encoding="utf-8")
+        def argv(tag):
+            return ["group", "--input", "x.csv", "--out", f"t{tag}.csv",
+                    "--graph-out", f"g{tag}.json", "--format", "vjson"]
+        result = _python("-m", "ranksig.cli", *argv(""), cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        graph = build_graph(load_records(tmp_path / "x.csv"))
+        assert graph.edge_count > 32 * export._EDGE_BLOCK  # rendered by up to 2 processes
+        assert (tmp_path / "g.json").read_bytes() == render_graph(graph, "vjson").encode()
+        # the same output as main in this process
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv("2"))
+        assert (code, out, err.replace("2.", ".")) == (0, result.stdout, result.stderr)
+        for name in ("t.csv", "g.json"):
+            assert (tmp_path / name).read_bytes() == (tmp_path / name.replace(".", "2.")).read_bytes()
+
+
 class TestTracedNames:
     """Library functions the CLI calls are looked up as attributes of ranksig.cli."""
 
@@ -749,6 +792,21 @@ class TestDegeneratePool:
             assert code == 2 and "puts all 5 institutions in one tier" in err
         else:
             assert code == 0
+
+    def test_pool_that_rounds_to_1(self, capsys, tmp_path, monkeypatch):
+        # A and B pool to 1.0 while B's t / p stays below 1
+        records = [make_record(name="A", p=10.0, t=10.0, pp=1.0),
+                   make_record(name="B", p=10.0, t=math.nextafter(10.0, 0.0), pp=1.0),
+                   make_record(name="C", p=50.0, t=5.0, pp=0.1)]
+        (tmp_path / "x.csv").write_text(dump_records(records), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "group", "--input", "x.csv")
+        assert code == 0
+        assert err == "3 institutions, 1 edges, 1 groups, 1 isolates\n" + self.WARNING.format(1)
+        code, out, err = run(capsys, "pairwise", "--input", "x.csv", "A", "B")
+        assert code == 0
+        assert "z (stored shares) = 0.000" in out and "z (exact ratios)  = 0.000" in out
+        assert err == self.WARNING.format(2)
 
 
 def _records_csv(rows):

@@ -247,7 +247,7 @@ class TestZTwoProportions:
 
 
 class TestLinkZDegeneratePool:
-    """A pool of 0 or 1 reads the count ratios, equal on both sides, whatever the shares."""
+    """A pool of 0 or 1, exact or rounded, gives z 0 with a warning, whatever the shares."""
 
     @pytest.mark.parametrize("proportions", ["stored", "exact"])
     @pytest.mark.parametrize("t, shares", [(0.0, (0.04, 0.0)), (10.0, (1.0, 0.97))],
@@ -257,13 +257,13 @@ class TestLinkZDegeneratePool:
         with pytest.warns(DegeneratePoolWarning):
             assert link_z(a, b, proportions) == 0.0
 
-    def test_pool_that_rounds_to_1_still_raises(self):
+    def test_pool_that_rounds_to_1_gives_zero(self):
         # (10 + t) / 20 rounds to 1 while t / 10 stays below 1
         a = make_record(name="A", p=10.0, t=10.0, pp=1.0)
         b = make_record(name="B", p=10.0, t=math.nextafter(10.0, 0.0), pp=1.0)
         for proportions in ("stored", "exact"):
-            with pytest.raises(DegeneratePool):
-                link_z(a, b, proportions)
+            with pytest.warns(DegeneratePoolWarning):
+                assert link_z(a, b, proportions) == 0.0
 
 
 class TestZVsExpectation:
