@@ -15,8 +15,9 @@ omitted from the header entirely; a missing top count is reconstructed as
 Counts are stored as reals: fractional counting attributes partial
 publication credit, so neither ``p`` nor ``t_top10`` needs to be an
 integer. A count above ``MAX_COUNT`` (10^12 publications, far beyond any
-real edition) is rejected as a malformed row: sums of such counts can
-overflow the statistics downstream.
+real edition) is rejected, as a malformed row in a file and by the record
+itself when built in Python: sums of such counts can overflow the
+statistics downstream.
 """
 
 import csv
@@ -102,6 +103,11 @@ class InstitutionRecord:
             raise InvariantViolation("record has an empty name")
         if not (math.isfinite(self.p) and self.p >= 0):
             raise InvariantViolation(f"{self.name}: p must be a finite real >= 0")
+        # t_top10 <= p below, so this bounds both counts
+        if self.p > MAX_COUNT:
+            raise InvariantViolation(
+                f"{self.name}: p={self.p} exceeds the ceiling of {MAX_COUNT:g}"
+            )
         if not (math.isfinite(self.t_top10) and 0 <= self.t_top10 <= self.p):
             raise InvariantViolation(
                 f"{self.name}: t_top10 must satisfy 0 <= t_top10 <= p "

@@ -81,9 +81,6 @@ _RELATIONS = (
     IntervalRelation(RelationKind.CONTAINMENT, Direction.MUTUAL),
     IntervalRelation(RelationKind.DISJOINT),
 )
-_RELATION_CODE = {rel: code for code, rel in enumerate(_RELATIONS)}
-# A containment direction read from the other endpoint
-_REVERSED = {_RELATIONS[2]: _RELATIONS[3], _RELATIONS[3]: _RELATIONS[2]}
 
 
 def _frozen(a):
@@ -100,54 +97,21 @@ class SignificanceGraph:
     Edges are stored as parallel arrays in that canonical order: ``src``
     and ``dst`` index into ``nodes`` (``src < dst``), ``z`` holds the pair
     z, ``strong`` the containment flag and ``relation`` a code for the
-    interval relation (0 when there is none). ``edges`` is the same edge
-    list as a tuple of GraphEdge, built on first use. Graphs are
-    immutable.
+    interval relation (0 when there is none). Graphs are immutable.
+
+    ``edges`` is the same edge list as a tuple of GraphEdge, built on first
+    use. Nothing in the package reads it; it stays because the benchmark
+    tracer reads ``edges`` and ``GraphEdge.strong``, and goes once the
+    tracer reads the arrays.
     """
 
-    def __init__(self, nodes: Iterable[GraphNode], edges: Iterable[GraphEdge]):
-        nodes = tuple(sorted(nodes, key=lambda n: n.name))
-        index = {n.name: i for i, n in enumerate(nodes)}
-        if len(index) != len(nodes):
-            raise DuplicateRecord("graph nodes must have unique names")
-        canonical = []
-        seen = set()
-        for e in edges:
-            if e.a == e.b:
-                raise ValueError(f"self-edge on {e.a!r}")
-            if e.a not in index or e.b not in index:
-                raise ValueError(f"edge ({e.a!r}, {e.b!r}) references a missing node")
-            if e.a > e.b:
-                e = GraphEdge(e.b, e.a, e.z, _REVERSED.get(e.relation, e.relation), e.strong)
-            if (e.a, e.b) in seen:
-                raise ValueError(f"duplicate edge ({e.a!r}, {e.b!r})")
-            if e.relation not in _RELATION_CODE:
-                raise ValueError(f"edge ({e.a!r}, {e.b!r}) has an unknown relation")
-            seen.add((e.a, e.b))
-            canonical.append(e)
-        canonical.sort(key=lambda e: (e.a, e.b))
-        self._set(
-            nodes,
-            np.array([index[e.a] for e in canonical], dtype=np.intp),
-            np.array([index[e.b] for e in canonical], dtype=np.intp),
-            np.array([e.z for e in canonical], dtype=np.float64),
-            np.array([bool(e.strong) for e in canonical], dtype=bool),
-            np.array([_RELATION_CODE[e.relation] for e in canonical], dtype=np.int8),
-        )
-        object.__setattr__(self, "_edges", tuple(canonical))
-
-    @classmethod
-    def _from_arrays(cls, nodes, src, dst, z, strong, relation) -> "SignificanceGraph":
+    def __init__(self, nodes, src, dst, z, strong, relation):
         """A graph from nodes sorted by name and edge arrays in canonical order.
 
-        Nothing is checked: the caller guarantees ``src < dst``, unique
-        pairs, and row-major (src, dst) order.
+        Nothing is checked: ``build_graph`` and ``from_scores``, the two
+        builders, guarantee ``src < dst``, unique pairs and row-major
+        (src, dst) order.
         """
-        g = cls.__new__(cls)
-        g._set(nodes, src, dst, z, strong, relation)
-        return g
-
-    def _set(self, nodes, src, dst, z, strong, relation) -> None:
         fields = {
             "nodes": nodes,
             "names": tuple(n.name for n in nodes),
@@ -189,23 +153,40 @@ class SignificanceGraph:
     def from_scores(
         cls,
         scores: Iterable[Tuple[str, float]],
-        edges: Iterable = (),
+        edges: Iterable[tuple] = (),
     ) -> "SignificanceGraph":
-        """Build a graph directly from (name, z) pairs.
+        """Build a graph from (name, z) pairs and (a, b) or (a, b, z) edges.
 
-        ``edges`` items may be (a, b) pairs, (a, b, z) triples, or GraphEdge
-        instances. Useful for feeding externally computed z tables.
+        Useful for feeding externally computed z tables. An edge without z
+        gets 0.0; no edge is strong or carries an interval relation. Edges
+        are checked in input order: a self-edge, an endpoint that is not a
+        node, and a pair given twice (in either orientation) raise
+        ValueError.
         """
-        nodes = tuple(GraphNode(name, float(z)) for name, z in scores)
-        built = []
-        for item in edges:
-            if isinstance(item, GraphEdge):
-                built.append(item)
-            elif len(item) == 2:
-                built.append(GraphEdge(item[0], item[1], 0.0))
-            else:
-                built.append(GraphEdge(item[0], item[1], float(item[2])))
-        return cls(nodes=nodes, edges=tuple(built))
+        nodes = tuple(sorted((GraphNode(name, float(z)) for name, z in scores),
+                             key=lambda n: n.name))
+        index = {n.name: i for i, n in enumerate(nodes)}
+        if len(index) != len(nodes):
+            raise DuplicateRecord("graph nodes must have unique names")
+        pair_z: Dict[Tuple[int, int], float] = {}
+        for a, b, *z in edges:
+            if a == b:
+                raise ValueError(f"self-edge on {a!r}")
+            if a not in index or b not in index:
+                raise ValueError(f"edge ({a!r}, {b!r}) references a missing node")
+            i, j = sorted((index[a], index[b]))
+            if (i, j) in pair_z:
+                raise ValueError(f"duplicate edge ({nodes[i].name!r}, {nodes[j].name!r})")
+            pair_z[i, j] = float(z[0]) if z else 0.0
+        pairs = sorted(pair_z)
+        return cls(
+            nodes,
+            np.array([i for i, _ in pairs], dtype=np.intp),
+            np.array([j for _, j in pairs], dtype=np.intp),
+            np.array([pair_z[pair] for pair in pairs], dtype=np.float64),
+            np.zeros(len(pairs), dtype=bool),
+            np.zeros(len(pairs), dtype=np.int8),
+        )
 
     @property
     def edge_count(self) -> int:
@@ -348,7 +329,7 @@ def build_graph(
             parts.append((r + i0, c + (i0 + 1), z[r, c], code[r, c]))
 
     src, dst, z, relation = (np.concatenate(col) for col in zip(*parts))
-    return SignificanceGraph._from_arrays(nodes, src, dst, z, relation >= 2, relation)
+    return SignificanceGraph(nodes, src, dst, z, relation >= 2, relation)
 
 
 def _make_grouping(

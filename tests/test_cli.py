@@ -328,10 +328,11 @@ class TestErrorPaths:
     def test_count_past_the_ceiling_exit_2(self, capsys, tmp_path):
         # p = 1e308 used to overflow the pair table's fsum: exit 1
         path = tmp_path / "huge.csv"
-        path.write_text(dump_records([
-            make_record(name="A", p=1e308, pp=0.1),
-            make_record(name="B", p=1e308, pp=0.2),
-        ]))
+        path.write_text(
+            "name,country,period,field,counting,p,t_top10,pp_top10,ci_lower,ci_upper\n"
+            "A,CN,2015-2018,All sciences,frac,1e308,1e307,0.1,,\n"
+            "B,CN,2015-2018,All sciences,frac,1e308,2e307,0.2,,\n"
+        )
         code, out, err = run(capsys, "pairwise", "--input", str(path), "A", "B")
         assert code == 2
         assert "ceiling" in err and "internal error" not in err
@@ -542,23 +543,34 @@ class TestStartup:
 
 
 class TestProcessEntry:
-    """A new process runs main, then freezes the heap before the interpreter
-    tears down; main itself freezes nothing, so in-process callers keep
-    their collector as it was."""
+    """A new process runs main with the cyclic collector off, then freezes
+    the heap before the interpreter tears down; main itself changes neither,
+    so in-process callers keep their collector as it was."""
 
     def test_main_does_not_freeze(self, capsys):
         before = gc.get_freeze_count()
         assert main(["group"]) == 0
         assert gc.get_freeze_count() == before
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_collector_as_it_found_it(self, capsys, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["group"]) == 0
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
     def test_module_entry_freezes_after_main(self):
         script = ("import atexit, gc, runpy, sys\n"
-                  "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+                  "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0,\n"
+                  "                              'collector', gc.isenabled()))\n"
                   "sys.argv = ['ranksig', 'decompose', '9.81', '9.54', '9.03']\n"
                   "runpy.run_module('ranksig.cli', run_name='__main__')\n")
         result = _python("-c", script)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.endswith("frozen True\n")
+        assert result.stdout.endswith("frozen True collector False\n")
 
     def test_large_graph_file_in_a_new_process(self, capsys, tmp_path, monkeypatch):
         records = [make_record(name=f"Univ {k:03d}", p=1000.0 + 7 * k, pp=0.1 + 1e-5 * (k % 97))
@@ -731,17 +743,44 @@ class TestCountedWarnings:
 
 
 class TestBenchTracerHooks:
-    def test_traced_names_exist(self, monkeypatch):
-        # bench/spans.py patches these (module, attribute) pairs; a missing
-        # one makes ``bench/run.py --trace 1`` raise AttributeError
+    @pytest.fixture
+    def spans(self, monkeypatch):
         bench = Path(__file__).resolve().parents[1] / "bench"
         if not (bench / "spans.py").is_file():
             pytest.skip("no bench/ directory in this tree")
         monkeypatch.syspath_prepend(str(bench))
-        spans = importlib.import_module("spans")
+        return importlib.import_module("spans")
+
+    def test_traced_names_exist(self, spans):
+        # bench/spans.py patches these (module, attribute) pairs; a missing
+        # one makes ``bench/run.py --trace 1`` raise AttributeError
         for module_name, attr, _ in spans.SPANS + spans.COUNTED:
             module = importlib.import_module(module_name)
             assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+    def test_facts_read_real_results(self, spans):
+        # the counters ``--trace 1`` reports, read from what the library
+        # returns: a change to those results must keep them readable
+        from ranksig.siggraph import Criterion, rank_groups, weak_components
+        # wide and narrow intervals in turn: some edges are containments
+        records = [make_record(name=f"U{k}", p=1000.0 + 10 * k, pp=0.1 + 0.02 * k,
+                               ci=(0.1 + 0.02 * k - w, 0.1 + 0.02 * k + w))
+                   for k, w in enumerate([0.05, 0.01] * 3)]
+        g = build_graph(records, criterion=Criterion.CI_OVERLAP)
+        assert 0 < g.strong.sum() < g.edge_count
+        assert spans._facts("siggraph.build_graph", (records,), g) == {
+            "pairs": 15, "edges": g.edge_count, "strong_edges": g.strong.sum()}
+        tables = rank_groups(g, weak_components(g))
+        assert spans._facts("siggraph.rank_groups", (g,), tables) == {
+            "groups": sum(not t.isolate for t in tables),
+            "isolates": sum(t.isolate for t in tables),
+            "largest_group": max(len(t.rows) for t in tables if not t.isolate),
+        }
+        assert spans._facts("ingest.parse_records", (), records) == {"rows": 6}
+        assert spans._facts("ingest.select_records", (), records[:4]) == {"selected": 4}
+        text = render_graph(g, "vjson")
+        assert spans._facts("export.render_graph", (g, "vjson"), text) == {
+            "bytes_out": len(text.encode("utf-8"))}
 
 
 class TestDegeneratePool:

@@ -23,7 +23,7 @@ from hypothesis import given, strategies as st
 
 from ranksig import cli, export
 from ranksig.export import GRAPH_FORMATS, csv_line, render_graph, write_graph
-from ranksig.siggraph import Criterion, GraphEdge, SignificanceGraph, build_graph
+from ranksig.siggraph import Criterion, SignificanceGraph, build_graph
 
 from conftest import make_record
 
@@ -178,10 +178,8 @@ def graph_with_edges(count):
     """Six user-built nodes and the first ``count`` of their pairs as edges."""
     names = ["a", "b", 'c "q"', "d, e", "f\\g", "h"]
     zs = [-2.5, 0.0, 1e-300, -0.0, math.inf, math.nan, 3.125, -1.0]
-    edges = [
-        GraphEdge(a, b, zs[k % len(zs)], strong=k % 3 == 0)
-        for k, (a, b) in enumerate(itertools.combinations(sorted(names), 2))
-    ]
+    edges = [(a, b, zs[k % len(zs)])
+             for k, (a, b) in enumerate(itertools.combinations(sorted(names), 2))]
     return SignificanceGraph.from_scores(
         [(name, 0.5 * k) for k, name in enumerate(names)], edges[:count]
     )

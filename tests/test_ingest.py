@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -160,6 +162,30 @@ class TestInvariants:
                 name="X", country="CN", period="p", field="f",
                 counting=Counting.FULL, p=10.0, t_top10=20.0, pp_top10=0.5,
             )
+
+    @staticmethod
+    def record(p, t):
+        return InstitutionRecord(
+            name="Big U", country="CN", period="p", field="f",
+            counting=Counting.FULL, p=p, t_top10=t, pp_top10=t / p,
+        )
+
+    # counts built in Python obey the ceiling that ingest applies to files;
+    # t_top10 <= p, so t_top10 can pass it only when p does
+    @pytest.mark.parametrize("p, t", [(1e13, 1e12), (1e13, 1e13), (1e308, 1e307)],
+                             ids=["p", "p and t_top10", "overflowing"])
+    def test_count_past_the_ceiling_raises(self, p, t):
+        with pytest.raises(InvariantViolation, match=r"^Big U: p=.* exceeds the ceiling"):
+            self.record(p, t)
+
+    def test_count_at_the_ceiling_is_accepted(self):
+        rec = self.record(MAX_COUNT, MAX_COUNT)
+        assert rec.p == rec.t_top10 == MAX_COUNT
+
+    def test_replace_past_the_ceiling_raises(self):
+        rec = self.record(1000.0, 100.0)
+        with pytest.raises(InvariantViolation, match="ceiling"):
+            dataclasses.replace(rec, p=1e308)
 
     def test_interval_accessor(self):
         (rec,) = parse_rows("X,CN,2015-2018,F,frac,1000,100,0.1,0.09,0.12")

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from ranksig import siggraph
 from ranksig.errors import DegeneratePoolWarning, InvalidStatistic, MissingInterval
+from ranksig.ingest import MAX_COUNT
 from ranksig.siggraph import Criterion, GraphEdge, build_graph
 from ranksig.stats import RelationKind, ci_relation, link_z, z_vs_expectation
 
@@ -69,10 +70,10 @@ def outcome(fn):
     return result, count
 
 
-# Publication counts include the extremes: 1e308 overflows p_i + p_j, and a
-# subnormal p overflows 1/p.
+# Publication counts include the extremes: MAX_COUNT, the largest count a
+# record accepts, and a subnormal p, which overflows 1/p.
 counts = st.one_of(
-    st.sampled_from([1.0, 2.0, 10.0, 1000.0, 1e308, 5e-324]),
+    st.sampled_from([1.0, 2.0, 10.0, 1000.0, MAX_COUNT, 5e-324]),
     st.floats(min_value=1e-3, max_value=1e7),
 )
 # Top counts of 0 and p give degenerate pools (pooled proportion 0 or 1).

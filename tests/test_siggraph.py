@@ -9,10 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from ranksig import data
 from ranksig.errors import DegeneratePoolWarning, EmptyInstitution, MissingInterval
+from ranksig.export import GRAPH_FORMATS, render_graph
 from ranksig.siggraph import (
     Criterion,
-    GraphEdge,
-    GraphNode,
     GroupTable,
     Grouping,
     RankedRow,
@@ -25,7 +24,7 @@ from ranksig.siggraph import (
     rank_groups,
     weak_components,
 )
-from ranksig.stats import Direction, ci_relation, link_z
+from ranksig.stats import Direction, link_z
 
 from conftest import make_record
 
@@ -71,11 +70,30 @@ class TestGraphValidation:
         ([("a", "b"), ("b", "a")], r"duplicate edge \('a', 'b'\)"),
     ], ids=["self-edge", "missing node", "duplicate", "reversed duplicate"])
     def test_bad_edges_rejected(self, edges, message):
-        nodes = [GraphNode(n, 0.0) for n in "abc"]
         with pytest.raises(ValueError, match=message):
-            SignificanceGraph(nodes, [GraphEdge(a, b, 1.0) for a, b in edges])
-        with pytest.raises(ValueError, match=message):
-            SignificanceGraph.from_scores([(n.name, n.z) for n in nodes], edges)
+            SignificanceGraph.from_scores([(n, 0.0) for n in "abc"], edges)
+
+    NAMES = ("a", "b", 'c "q"', "d, e", "é")
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_edge_order_and_orientation_give_one_graph(self, data):
+        pairs = data.draw(st.lists(
+            st.sampled_from(list(itertools.combinations(self.NAMES, 2))), unique=True))
+        zs = data.draw(st.lists(st.one_of(st.none(), st.floats(allow_nan=False)),
+                                min_size=len(pairs), max_size=len(pairs)))
+        items = [(a, b) if z is None else (a, b, z) for (a, b), z in zip(pairs, zs)]
+        flips = data.draw(st.lists(st.booleans(), min_size=len(items), max_size=len(items)))
+        scores = [(n, 0.5 * k) for k, n in enumerate(self.NAMES)]
+        g = SignificanceGraph.from_scores(scores, items)
+        h = SignificanceGraph.from_scores(
+            data.draw(st.permutations(scores)),
+            data.draw(st.permutations(
+                [(e[1], e[0], *e[2:]) if flip else e for e, flip in zip(items, flips)])),
+        )
+        assert h == g
+        for fmt in GRAPH_FORMATS:
+            assert render_graph(h, fmt) == render_graph(g, fmt)
 
     def test_edges_are_canonical_and_lazy(self):
         g = SignificanceGraph.from_scores(
@@ -85,7 +103,8 @@ class TestGraphValidation:
         assert (g.src.tolist(), g.dst.tolist(), g.edge_count) == ([0, 0], [1, 2], 2)
         built = build_graph([make_record(name=n, pp=0.1) for n in "cab"])
         assert built.edges is built.edges
-        assert built == SignificanceGraph(built.nodes, built.edges)
+        assert built == SignificanceGraph.from_scores(
+            [(n.name, n.z) for n in built.nodes], [(e.a, e.b, e.z) for e in built.edges])
 
     def test_reversed_edges_state_the_same_relations(self):
         intervals = {"A": (0.08, 0.13), "B": (0.09, 0.125), "C": (0.07, 0.14),
@@ -94,11 +113,6 @@ class TestGraphValidation:
         g = build_graph(records, criterion=Criterion.CI_OVERLAP)
         assert {e.relation.direction for e in g.edges} >= {
             Direction.A_IN_B, Direction.B_IN_A, Direction.MUTUAL}
-        flipped = [
-            GraphEdge(e.b, e.a, e.z, ci_relation(intervals[e.b], intervals[e.a]), e.strong)
-            for e in g.edges
-        ]
-        assert SignificanceGraph(g.nodes, flipped) == g
 
     def test_graph_is_immutable(self):
         g = SignificanceGraph.from_scores([("a", 1.0), ("b", 2.0)], [("a", "b")])
