@@ -560,7 +560,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("group", parents=[io_flags, analysis],
                        help="build the significance graph and rank its tiers")
     p.add_argument("--resolution", type=float, default=1.0,
-                   help="modularity resolution (default: 1.0)")
+                   help="modularity resolution, a finite number >= 0 (default: 1.0)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the clustering node order (default: 0)")
     p.add_argument("--format", **graph_format)

@@ -164,35 +164,30 @@ def write_graph(g: SignificanceGraph, fmt: str, out=None) -> None:
     head, block, tail = _layout(g, fmt)
     blocks = -(-g.edge_count // _EDGE_BLOCK)
     if out is None:
-        sys.stdout.write(head)
-        sys.stdout.writelines(_edge_text(block, 0, blocks))
-        sys.stdout.write(tail)
+        _write_blocks(sys.stdout, None, head, block, tail, [0, blocks])
         return
     with open(out, "w", encoding="utf-8") as fh:
         # a device or a pipe (such as /dev/stdout) has no directory for the parts
         workers = _workers(blocks) if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else 1
-        if workers == 1:
-            fh.write(head)
-            fh.writelines(_edge_text(block, 0, blocks))
-            fh.write(tail)
-        else:
-            _write_forked(fh, out, head, block, tail,
-                          [blocks * k // workers for k in range(workers + 1)])
+        _write_blocks(fh, out, head, block, tail,
+                      [blocks * k // workers for k in range(workers + 1)])
 
 
-def _write_forked(fh, out, head: str, block, tail: str, cuts: list) -> None:
+def _write_blocks(fh, out, head: str, block, tail: str, cuts: list) -> None:
     """Write the file to ``fh``, rendering block range k (``cuts[k]`` to
-    ``cuts[k + 1] - 1``) in forked worker k for every k > 0."""
-    import shutil
-    import signal
-    import tempfile
-    # a worker leaves by os._exit: it flushes no buffer and runs no atexit hook,
-    # so nothing it inherited is written twice
-    sys.stdout.flush()
-    sys.stderr.flush()
-    directory = os.path.dirname(os.path.abspath(out))
+    ``cuts[k + 1] - 1``) in forked worker k for every k > 0; a single range
+    forks nothing."""
     parts, pids = [], []  # each worker's temporary file and process id, in range order
     reaped = 0
+    if len(cuts) > 2:
+        import shutil
+        import signal
+        import tempfile
+        # a worker leaves by os._exit: it flushes no buffer and runs no atexit hook,
+        # so nothing it inherited is written twice
+        sys.stdout.flush()
+        sys.stderr.flush()
+        directory = os.path.dirname(os.path.abspath(out))
     try:
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
             parts.append(tempfile.TemporaryFile(dir=directory))

@@ -229,7 +229,7 @@ def parse_records(
 
     Raises:
         MalformedRow: a line breaks the schema (carries line number and reason).
-        InvariantViolation: a parsed row violates the record invariants.
+        InvariantViolation: a row violates the record invariants ("line N: ...").
         DuplicateRecord: conflicting rows share a deduplication key.
         NoMatch: the selector yields an empty set.
     """
@@ -328,23 +328,27 @@ def _build_record(cells: dict, line_no: int, percent: bool) -> InstitutionRecord
     lo = _parse_float(line_no, "ci_lower", lo_cell) * scale if lo_cell else None
     hi = _parse_float(line_no, "ci_upper", hi_cell) * scale if hi_cell else None
 
-    rec = InstitutionRecord(
-        name=cells["name"].strip(),
-        country=cells["country"].strip(),
-        period=cells["period"].strip(),
-        field=cells["field"].strip(),
-        counting=counting,
-        p=p,
-        t_top10=t,
-        pp_top10=pp,
-        ci_lower=lo,
-        ci_upper=hi,
-    )
-    if t_cell and not _t_consistent(rec.t_top10, rec.pp_top10, rec.p):
-        raise InvariantViolation(
-            f"{rec.name}: t_top10={rec.t_top10} is inconsistent with "
-            f"pp_top10*p={rec.pp_top10 * rec.p:.4f}"
+    try:
+        rec = InstitutionRecord(
+            name=cells["name"].strip(),
+            country=cells["country"].strip(),
+            period=cells["period"].strip(),
+            field=cells["field"].strip(),
+            counting=counting,
+            p=p,
+            t_top10=t,
+            pp_top10=pp,
+            ci_lower=lo,
+            ci_upper=hi,
         )
+        if t_cell and not _t_consistent(rec.t_top10, rec.pp_top10, rec.p):
+            raise InvariantViolation(
+                f"{rec.name}: t_top10={rec.t_top10} is inconsistent with "
+                f"pp_top10*p={rec.pp_top10 * rec.p:.4f}"
+            )
+    except InvariantViolation as exc:
+        # a name recurs once per slice, so the line is what locates the row
+        raise InvariantViolation(f"line {line_no}: {exc}") from None
     return rec
 
 

@@ -21,7 +21,8 @@ import enum
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,11 +84,7 @@ _RELATIONS = (
 )
 
 
-def _frozen(a):
-    a.flags.writeable = False
-    return a
-
-
+@dataclass(frozen=True, eq=False, repr=False)
 class SignificanceGraph:
     """Undirected graph of institutions with z node weights.
 
@@ -97,7 +94,12 @@ class SignificanceGraph:
     Edges are stored as parallel arrays in that canonical order: ``src``
     and ``dst`` index into ``nodes`` (``src < dst``), ``z`` holds the pair
     z, ``strong`` the containment flag and ``relation`` a code for the
-    interval relation (0 when there is none). Graphs are immutable.
+    interval relation (0 when there is none). Graphs are immutable, arrays
+    included.
+
+    The constructor checks nothing: ``build_graph`` and ``from_scores``,
+    the two builders, guarantee ``src < dst``, unique pairs and row-major
+    (src, dst) order.
 
     ``edges`` is the same edge list as a tuple of GraphEdge, built on first
     use. Nothing in the package reads it; it stays because the benchmark
@@ -105,31 +107,16 @@ class SignificanceGraph:
     tracer reads the arrays.
     """
 
-    def __init__(self, nodes, src, dst, z, strong, relation):
-        """A graph from nodes sorted by name and edge arrays in canonical order.
+    nodes: Tuple[GraphNode, ...]
+    src: np.ndarray
+    dst: np.ndarray
+    z: np.ndarray
+    strong: np.ndarray
+    relation: np.ndarray
 
-        Nothing is checked: ``build_graph`` and ``from_scores``, the two
-        builders, guarantee ``src < dst``, unique pairs and row-major
-        (src, dst) order.
-        """
-        fields = {
-            "nodes": nodes,
-            "names": tuple(n.name for n in nodes),
-            "src": _frozen(src),
-            "dst": _frozen(dst),
-            "z": _frozen(z),
-            "strong": _frozen(strong),
-            "relation": _frozen(relation),
-            "_edges": None,
-        }
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"SignificanceGraph is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"SignificanceGraph is immutable; cannot delete {name!r}")
+    def __post_init__(self):
+        for a in (self.src, self.dst, self.z, self.strong, self.relation):
+            a.flags.writeable = False
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -192,19 +179,20 @@ class SignificanceGraph:
     def edge_count(self) -> int:
         return len(self.src)
 
-    @property
+    @cached_property
+    def names(self) -> Tuple[str, ...]:
+        return tuple(n.name for n in self.nodes)
+
+    @cached_property
     def edges(self) -> Tuple[GraphEdge, ...]:
-        if self._edges is None:
-            names = self.names
-            edges = tuple(
-                GraphEdge(names[i], names[j], z, _RELATIONS[code], strong)
-                for i, j, z, strong, code in zip(
-                    self.src.tolist(), self.dst.tolist(), self.z.tolist(),
-                    self.strong.tolist(), self.relation.tolist(),
-                )
+        names = self.names
+        return tuple(
+            GraphEdge(names[i], names[j], z, _RELATIONS[code], strong)
+            for i, j, z, strong, code in zip(
+                self.src.tolist(), self.dst.tolist(), self.z.tolist(),
+                self.strong.tolist(), self.relation.tolist(),
             )
-            object.__setattr__(self, "_edges", edges)
-        return self._edges
+        )
 
     @property
     def node_z(self) -> Dict[str, float]:
@@ -332,29 +320,28 @@ def build_graph(
     return SignificanceGraph(nodes, src, dst, z, relation >= 2, relation)
 
 
-def _make_grouping(
-    components: Iterable[Iterable[str]],
-    node_z: Mapping[str, float],
-    isolates: frozenset,
-) -> Grouping:
-    """Order components into a Grouping: non-isolates by max z, isolates last."""
-    comps = [tuple(sorted(c)) for c in components]
-    regular = [c for c in comps if not (len(c) == 1 and c[0] in isolates)]
-    singles = [c for c in comps if len(c) == 1 and c[0] in isolates]
+def _grouping(g: SignificanceGraph, label: Sequence[int]) -> Grouping:
+    """Tiers from one label per node index: nodes with equal labels share a tier.
 
-    def sort_key(comp):
-        top = min(comp, key=lambda n: (-node_z[n], n))
-        return (-node_z[top], top)
+    Tiers are ordered by (isolate last, -max z, name of the top member); an
+    isolate tier is a degree-0 node alone under its label. Index order is
+    name order, so members list by name and ties in z break by name.
+    """
+    names, zs = g.names, [n.z for n in g.nodes]
+    degree = np.bincount(np.concatenate((g.src, g.dst)), minlength=len(names)).tolist()
+    tiers: Dict[int, List[int]] = {}
+    for k, c in enumerate(label):
+        tiers.setdefault(c, []).append(k)
 
-    ordered = sorted(regular, key=sort_key) + sorted(singles, key=sort_key)
-    assignment = {}
-    for gid, comp in enumerate(ordered):
-        for name in comp:
-            assignment[name] = gid
+    def sort_key(members):
+        top = min(members, key=lambda k: (-zs[k], k))
+        return (len(members) == 1 and not degree[top], -zs[top], top)
+
+    ordered = sorted(tiers.values(), key=sort_key)
     return Grouping(
-        assignment=assignment,
+        assignment={names[k]: gid for gid, members in enumerate(ordered) for k in members},
         group_order=tuple(range(len(ordered))),
-        isolates=isolates,
+        isolates=frozenset(name for name, d in zip(names, degree) if not d),
     )
 
 
@@ -378,12 +365,12 @@ def weak_components(g: SignificanceGraph) -> Grouping:
             if np.array_equal(jumped, label):
                 break
             label = jumped
-    components: Dict[int, List[str]] = {}
-    for name, root in zip(g.names, label.tolist()):
-        components.setdefault(root, []).append(name)
-    degree = np.bincount(np.concatenate((g.src, g.dst)), minlength=n)
-    isolates = frozenset(name for name, d in zip(g.names, degree.tolist()) if d == 0)
-    return _make_grouping(components.values(), g.node_z, isolates)
+    return _grouping(g, label.tolist())
+
+
+def _check_resolution(resolution: float) -> None:
+    if not (math.isfinite(resolution) and resolution >= 0):
+        raise InvalidStatistic(f"resolution must be a finite number >= 0 (got {resolution!r})")
 
 
 def _check_partition(g: SignificanceGraph, grouping: Grouping) -> None:
@@ -399,8 +386,10 @@ def modularity(
 
     Q = sum over groups of [intra_edges/m - resolution * (degree_sum/2m)^2]
     on unweighted edges. Defined as 0 for an edgeless graph. Q <= 1, and a
-    partition into all singletons is never positive.
+    partition into all singletons is never positive. ``resolution`` must be
+    a finite number >= 0.
     """
+    _check_resolution(resolution)
     _check_partition(g, partition)
     m = g.edge_count
     if m == 0:
@@ -517,16 +506,14 @@ def cluster(
     more than 1e-12, then keeps whichever of (clustering, weak components)
     scores the higher modularity, so the result is never worse than the
     plain tier partition. Isolates stay singletons, and every cluster lies
-    inside one weak component.
+    inside one weak component. ``resolution`` must be a finite number >= 0.
     """
+    _check_resolution(resolution)
     weak = weak_components(g)
     if not g.edge_count:
         return weak
 
-    comps: Dict[int, List[str]] = {}
-    for name, c in zip(g.names, _louvain(g, resolution, seed)):
-        comps.setdefault(c, []).append(name)
-    louvain_grouping = _make_grouping(comps.values(), g.node_z, weak.isolates)
+    louvain_grouping = _grouping(g, _louvain(g, resolution, seed))
     if modularity(g, louvain_grouping, resolution) >= modularity(g, weak, resolution):
         return louvain_grouping
     return weak

@@ -111,6 +111,24 @@ class TestGroup:
         assert code == 0
         assert "Tsinghua University" in out_file.read_text()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_resolution_outside_the_range_exit_2(self, capsys, tmp_path, value):
+        out_file = tmp_path / "m.csv"
+        code, out, err = run(capsys, "group", "--grouping", "modularity",
+                             "--resolution", value, "--out", str(out_file))
+        assert code == 2
+        assert err == ("ranksig: error: resolution must be a finite number >= 0 "
+                       f"(got {float(value)!r})\n")
+        assert out == "" and not out_file.exists()
+
+    @pytest.mark.parametrize("value", ["0", "0.5", "1"])
+    def test_resolution_in_range_exit_0(self, capsys, tmp_path, value):
+        out_file = tmp_path / "m.csv"
+        code, _, _ = run(capsys, "group", "--grouping", "modularity",
+                         "--resolution", value, "--out", str(out_file))
+        assert code == 0
+        assert "Tsinghua University" in out_file.read_text()
+
 
 class TestCompare:
     def test_two_nation_labels(self, capsys, tmp_path):

@@ -148,7 +148,7 @@ class TestInvariants:
         "X,CN,2015-2018,F,frac,1000,500,0.1,,",      # t inconsistent with pp*p
     ])
     def test_invalid_rows_always_raise(self, row):
-        with pytest.raises((InvariantViolation, MalformedRow)):
+        with pytest.raises((InvariantViolation, MalformedRow), match=r"^line 2: "):
             parse_rows(row)
 
     def test_t_consistency_tolerance_allows_rounding(self):

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ranksig import data
-from ranksig.errors import DegeneratePoolWarning, EmptyInstitution, MissingInterval
+from ranksig.errors import (
+    DegeneratePoolWarning, EmptyInstitution, InvalidStatistic, MissingInterval,
+)
 from ranksig.export import GRAPH_FORMATS, render_graph
 from ranksig.siggraph import (
     Criterion,
@@ -16,8 +18,8 @@ from ranksig.siggraph import (
     Grouping,
     RankedRow,
     SignificanceGraph,
+    _grouping,
     _louvain,
-    _make_grouping,
     build_graph,
     cluster,
     modularity,
@@ -120,6 +122,13 @@ class TestGraphValidation:
             g.nodes = ()
         with pytest.raises(ValueError):
             g.z[0] = 5.0
+        with pytest.raises(AttributeError):
+            del g.src
+        with pytest.raises(AttributeError):
+            g.names = ()
+        with pytest.raises(AttributeError):
+            g.edges = ()
+        assert g.names is g.names
 
 
 class TestBuildGraph:
@@ -446,6 +455,29 @@ class TestLouvainInvariants:
         assert modularity(g, fine, resolution) >= modularity(g, weak, resolution) - 1e-12
 
 
+def make_grouping(components, node_z, isolates):
+    """Name-keyed components into a Grouping, non-isolates by max z and
+    isolates last: the reference for _grouping."""
+    comps = [tuple(sorted(c)) for c in components]
+    regular = [c for c in comps if not (len(c) == 1 and c[0] in isolates)]
+    singles = [c for c in comps if len(c) == 1 and c[0] in isolates]
+
+    def sort_key(comp):
+        top = min(comp, key=lambda n: (-node_z[n], n))
+        return (-node_z[top], top)
+
+    ordered = sorted(regular, key=sort_key) + sorted(singles, key=sort_key)
+    assignment = {}
+    for gid, comp in enumerate(ordered):
+        for name in comp:
+            assignment[name] = gid
+    return Grouping(
+        assignment=assignment,
+        group_order=tuple(range(len(ordered))),
+        isolates=isolates,
+    )
+
+
 def dfs_components(g):
     """weak_components as a stack DFS over adjacency lists: the reference."""
     names = g.names
@@ -471,7 +503,7 @@ def dfs_components(g):
                     stack.append(m)
         components.append(comp)
     isolates = frozenset(name for k, name in enumerate(names) if not adjacency[k])
-    return _make_grouping(components, g.node_z, isolates)
+    return make_grouping(components, g.node_z, isolates)
 
 
 @st.composite
@@ -545,6 +577,57 @@ class TestWeakComponentsOracle:
                 tuple(sorted(c)) for c in nx.connected_components(G)
             }
             assert grouping.isolates == frozenset(n for n, d in G.degree if d == 0)
+
+
+@st.composite
+def labelled_graphs(draw, max_nodes=30):
+    """A graph and any label per node: a label may split a component, span
+    two, or hold degree-0 nodes with others; z values are finite and tie often."""
+    n = draw(st.integers(0, max_nodes))
+    names = [f"n{i:02d}" for i in range(n)]
+    ends = st.integers(0, max(0, n - 1))
+    pairs = draw(st.sets(st.tuples(ends, ends).filter(lambda p: p[0] < p[1]), max_size=n))
+    zs = st.one_of(st.sampled_from((-1.0, -0.0, 0.0, 2.5)),
+                   st.floats(allow_nan=False, allow_infinity=False))
+    z = draw(st.lists(zs, min_size=n, max_size=n))
+    label = draw(st.lists(st.integers(-2, draw(st.integers(0, n))), min_size=n, max_size=n))
+    g = SignificanceGraph.from_scores(
+        list(zip(names, z)), [(names[a], names[b]) for a, b in pairs])
+    return g, label
+
+
+class TestGroupingBuilder:
+    """_grouping over node labels against the name-keyed reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_graphs())
+    def test_any_labels(self, graph_and_label):
+        g, label = graph_and_label
+        comps = {}
+        for name, c in zip(g.names, label):
+            comps.setdefault(c, []).append(name)
+        degree = {name: 0 for name in g.names}
+        for e in g.edges:
+            degree[e.a] += 1
+            degree[e.b] += 1
+        isolates = frozenset(name for name, d in degree.items() if not d)
+        assert_same_grouping(_grouping(g, label),
+                             make_grouping(comps.values(), g.node_z, isolates))
+
+
+class TestResolution:
+    GRAPHS = {"cliques": clique_graph(3, 4), "edgeless": SignificanceGraph.from_scores(
+        [("a", 1.0), ("b", 2.0)])}
+
+    @pytest.mark.parametrize("graph", GRAPHS)
+    @pytest.mark.parametrize("resolution", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_invalid_resolution_raises(self, graph, resolution):
+        g = self.GRAPHS[graph]
+        message = rf"^resolution must be a finite number >= 0 \(got {resolution!r}\)$"
+        with pytest.raises(InvalidStatistic, match=message):
+            cluster(g, resolution)
+        with pytest.raises(InvalidStatistic, match=message):
+            modularity(g, weak_components(g), resolution)
 
 
 def name_louvain(adj, resolution, seed):
@@ -658,7 +741,7 @@ def name_cluster(g, resolution, seed):
     for n, c in name_louvain(adj, resolution, seed).items():
         comps.setdefault(c, []).append(n)
     isolates = frozenset(n for n, ns in adj.items() if not ns)
-    louvain_grouping = _make_grouping(comps.values(), g.node_z, isolates)
+    louvain_grouping = make_grouping(comps.values(), g.node_z, isolates)
     weak = weak_components(g)
     if modularity(g, louvain_grouping, resolution) >= modularity(g, weak, resolution):
         return louvain_grouping
