@@ -19,8 +19,8 @@ costs only this module, ``errors`` and ``export``.
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib
+import io
 import os
 import sys
 import warnings
@@ -172,13 +172,14 @@ def _tiers(grouping: Grouping) -> Tuple[Dict[str, str], Dict[str, int]]:
 
 
 def _read_labels(path: str) -> Dict[str, str]:
-    """name -> category map from a two-column CSV with a header row."""
-    with open(path, encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+    """name -> category map from a two-column CSV with a header row, read as records are."""
+    from .ingest import _as_text, _rows
+    with open(path, "rb") as fh:
+        rows = _rows(io.StringIO(_as_text(fh), newline=""), 0)
+    if next(rows, None) is None:
         raise MalformedRow(1, f"{path}: empty labels file")
     labels: Dict[str, str] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows:
         if not row or not "".join(row).strip():
             continue
         if len(row) < 2:

@@ -140,10 +140,9 @@ def z_distribution_series(
 
 def scores_by_category(
     records: Iterable[InstitutionRecord],
-    key=lambda r: r.country,
 ) -> Dict[str, List[Tuple[str, float]]]:
-    """Group records by a category key and score each against the 10% expectation."""
+    """Group records by country and score each against the 10% expectation."""
     out: Dict[str, List[Tuple[str, float]]] = {}
     for rec in records:
-        out.setdefault(key(rec), []).append((rec.name, z_vs_expectation(rec)))
+        out.setdefault(rec.country, []).append((rec.name, z_vs_expectation(rec)))
     return out

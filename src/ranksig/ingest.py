@@ -197,7 +197,8 @@ def _as_text(source: Union[str, bytes, IO]) -> str:
         try:
             return source.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise MalformedRow(0, f"input is not valid UTF-8: {exc}") from exc
+            line = source.count(b"\n", 0, exc.start) + 1
+            raise MalformedRow(line, f"input is not valid UTF-8: {exc}") from exc
     if isinstance(source, str):
         return source
     data = source.read()
@@ -216,22 +217,19 @@ def _parse_float(line_no: int, column: str, cell: str) -> float:
     return value
 
 
-def parse_records(
-    source: Union[str, bytes, IO],
-    selector: Optional[DatasetSelector] = None,
-) -> list:
+def parse_records(source: Union[str, bytes, IO]) -> list:
     """Parse indicator records from delimited text.
 
-    Returns the records matching ``selector`` (all records when None), in
-    input order, deduplicated by (name, period, field, counting) keeping
-    the first occurrence. Two rows with the same key must be identical;
-    otherwise DuplicateRecord is raised.
+    Returns the records in input order, deduplicated by (name, period,
+    field, counting) keeping the first occurrence. Two rows with the same
+    key must be identical; otherwise DuplicateRecord is raised. Use
+    ``select_records`` to pick a subset.
 
     Raises:
         MalformedRow: a line breaks the schema (carries line number and reason).
         InvariantViolation: a row violates the record invariants ("line N: ...").
         DuplicateRecord: conflicting rows share a deduplication key.
-        NoMatch: the selector yields an empty set.
+        NoMatch: the text holds no data rows.
     """
     text = _as_text(source)
     buf = io.StringIO(text, newline="")
@@ -266,7 +264,7 @@ def parse_records(
             )
         records.append(_build_record(dict(zip(header, cells)), line_no, percent))
 
-    return select_records(records, selector)
+    return select_records(records)
 
 
 def _rows(buf: IO, offset: int):
@@ -383,10 +381,10 @@ def select_records(
     return out
 
 
-def load_records(path, selector: Optional[DatasetSelector] = None) -> list:
+def load_records(path) -> list:
     """parse_records over a file path."""
     with open(path, "rb") as fh:
-        return parse_records(fh, selector)
+        return parse_records(fh)
 
 
 def _fmt(value: Optional[float]) -> str:

@@ -22,16 +22,13 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DuplicateRecord, InvalidStatistic, MissingInterval
 from .ingest import InstitutionRecord
 from .stats import (
-    Direction,
-    IntervalRelation,
-    RelationKind,
     Z_P01,
     ci_relation,  # noqa: F401  the scalar form of build_graph's interval pass
     link_z,
@@ -68,20 +65,7 @@ class GraphEdge:
     a: str
     b: str
     z: float
-    relation: Optional[IntervalRelation] = None
     strong: bool = False
-
-
-# Relation code of an edge -> GraphEdge.relation. Code 0 is "no relation"
-# (z-criterion edges); codes 1-4 are what the interval criterion produces.
-_RELATIONS = (
-    None,
-    IntervalRelation(RelationKind.OVERLAP),
-    IntervalRelation(RelationKind.CONTAINMENT, Direction.A_IN_B),
-    IntervalRelation(RelationKind.CONTAINMENT, Direction.B_IN_A),
-    IntervalRelation(RelationKind.CONTAINMENT, Direction.MUTUAL),
-    IntervalRelation(RelationKind.DISJOINT),
-)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -93,9 +77,9 @@ class SignificanceGraph:
 
     Edges are stored as parallel arrays in that canonical order: ``src``
     and ``dst`` index into ``nodes`` (``src < dst``), ``z`` holds the pair
-    z, ``strong`` the containment flag and ``relation`` a code for the
-    interval relation (0 when there is none). Graphs are immutable, arrays
-    included.
+    z and ``strong`` the containment flag (one interval contains the other).
+    Graphs are immutable, arrays included: a writeable input array is
+    copied, so the caller's array stays writeable.
 
     The constructor checks nothing: ``build_graph`` and ``from_scores``,
     the two builders, guarantee ``src < dst``, unique pairs and row-major
@@ -112,11 +96,14 @@ class SignificanceGraph:
     dst: np.ndarray
     z: np.ndarray
     strong: np.ndarray
-    relation: np.ndarray
 
     def __post_init__(self):
-        for a in (self.src, self.dst, self.z, self.strong, self.relation):
-            a.flags.writeable = False
+        for name in ("src", "dst", "z", "strong"):
+            a = getattr(self, name)
+            if a.flags.writeable:
+                a = a.copy()
+                a.flags.writeable = False
+                object.__setattr__(self, name, a)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -127,7 +114,6 @@ class SignificanceGraph:
             and np.array_equal(self.dst, other.dst)
             and np.array_equal(self.z, other.z)
             and np.array_equal(self.strong, other.strong)
-            and np.array_equal(self.relation, other.relation)
         )
 
     def __hash__(self):
@@ -145,10 +131,9 @@ class SignificanceGraph:
         """Build a graph from (name, z) pairs and (a, b) or (a, b, z) edges.
 
         Useful for feeding externally computed z tables. An edge without z
-        gets 0.0; no edge is strong or carries an interval relation. Edges
-        are checked in input order: a self-edge, an endpoint that is not a
-        node, and a pair given twice (in either orientation) raise
-        ValueError.
+        gets 0.0, and no edge is strong. Edges are checked in input order: a
+        self-edge, an endpoint that is not a node, and a pair given twice (in
+        either orientation) raise ValueError.
         """
         nodes = tuple(sorted((GraphNode(name, float(z)) for name, z in scores),
                              key=lambda n: n.name))
@@ -172,7 +157,6 @@ class SignificanceGraph:
             np.array([j for _, j in pairs], dtype=np.intp),
             np.array([pair_z[pair] for pair in pairs], dtype=np.float64),
             np.zeros(len(pairs), dtype=bool),
-            np.zeros(len(pairs), dtype=np.int8),
         )
 
     @property
@@ -187,10 +171,9 @@ class SignificanceGraph:
     def edges(self) -> Tuple[GraphEdge, ...]:
         names = self.names
         return tuple(
-            GraphEdge(names[i], names[j], z, _RELATIONS[code], strong)
-            for i, j, z, strong, code in zip(
-                self.src.tolist(), self.dst.tolist(), self.z.tolist(),
-                self.strong.tolist(), self.relation.tolist(),
+            GraphEdge(names[i], names[j], z, strong)
+            for i, j, z, strong in zip(
+                self.src.tolist(), self.dst.tolist(), self.z.tolist(), self.strong.tolist(),
             )
         )
 
@@ -276,7 +259,7 @@ def build_graph(
 
     n = len(recs)
     parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0),
-              np.empty(0, np.int8))]
+              np.empty(0, bool))]
     if n > 1:
         if proportions not in ("stored", "exact"):
             raise InvalidStatistic(f"unknown proportion mode {proportions!r}")
@@ -305,19 +288,15 @@ def build_graph(
                 z[r, c] = link_z(recs[i0 + r], recs[i0 + 1 + c], proportions)
             if criterion is Criterion.Z_TEST:
                 keep = upper & (np.abs(z) < threshold)
-                code = np.zeros(z.shape, dtype=np.int8)
+                strong = np.zeros(z.shape, dtype=bool)
             else:
                 a_lo, a_hi, b_lo, b_hi = lo[a, None], hi[a, None], lo[None, b], hi[None, b]
                 keep = upper & ~((a_hi < b_lo) | (b_hi < a_lo))
-                a_in_b = (b_lo <= a_lo) & (a_hi <= b_hi)
-                b_in_a = (a_lo <= b_lo) & (b_hi <= a_hi)
-                # 1 overlap, 2 a in b, 3 b in a, 4 mutual: indices into _RELATIONS
-                code = (1 + a_in_b + 2 * b_in_a).astype(np.int8)
+                strong = ((b_lo <= a_lo) & (a_hi <= b_hi)) | ((a_lo <= b_lo) & (b_hi <= a_hi))
             r, c = np.nonzero(keep)
-            parts.append((r + i0, c + (i0 + 1), z[r, c], code[r, c]))
+            parts.append((r + i0, c + (i0 + 1), z[r, c], strong[r, c]))
 
-    src, dst, z, relation = (np.concatenate(col) for col in zip(*parts))
-    return SignificanceGraph(nodes, src, dst, z, relation >= 2, relation)
+    return SignificanceGraph(nodes, *(np.concatenate(col) for col in zip(*parts)))
 
 
 def _grouping(g: SignificanceGraph, label: Sequence[int]) -> Grouping:

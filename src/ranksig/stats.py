@@ -114,10 +114,6 @@ class ContingencyTable:
             raise DegenerateTable("grand total must be positive")
 
     @property
-    def shape(self) -> Tuple[int, int]:
-        return (len(self.rows), len(self.cols))
-
-    @property
     def row_totals(self) -> Tuple[float, ...]:
         return tuple(math.fsum(row) for row in self.observed)
 
@@ -283,20 +279,18 @@ def z_two_proportions(
     return (p1 - p2) / se
 
 
-def z_vs_expectation(rec: InstitutionRecord, p0: float = 0.1) -> float:
-    """z of one institution's top-10% share against the reference share p0.
+def z_vs_expectation(rec: InstitutionRecord) -> float:
+    """z of one institution's top-10% share against the 10% expectation.
 
-    The institution is compared with a same-size sample scoring exactly p0:
-    n1 = n2 = p, p1 = pp_top10, p2 = p0, and the pool combines the stored
-    top count with the expected count p0 * p. Positive exactly when
-    pp_top10 exceeds p0.
+    The institution is compared with a same-size sample scoring exactly 0.1:
+    n1 = n2 = p, p1 = pp_top10, p2 = 0.1, and the pool combines the stored
+    top count with the expected count 0.1 * p. Positive exactly when
+    pp_top10 exceeds 0.1.
     """
     if rec.p <= 0:
         raise EmptyInstitution(f"{rec.name}: institution has no publications")
-    if not (0 <= p0 <= 1):
-        raise InvalidStatistic(f"reference proportion must lie in [0, 1], got {p0}")
-    pooled = (rec.t_top10 + p0 * rec.p) / (2.0 * rec.p)
-    return z_two_proportions(rec.pp_top10, rec.p, p0, rec.p, pooled)
+    pooled = (rec.t_top10 + 0.1 * rec.p) / (2.0 * rec.p)
+    return z_two_proportions(rec.pp_top10, rec.p, 0.1, rec.p, pooled)
 
 
 def significance_level(z: float) -> SignificanceLevel:

@@ -6,6 +6,7 @@ import importlib
 import json
 import math
 import os
+import pty
 import re
 import subprocess
 import sys
@@ -370,6 +371,29 @@ class TestErrorPaths:
         assert err == f"ranksig: error: {empty}: institution has no publications\n"
         assert out == ""
 
+    def test_non_utf8_input_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "f.csv"
+        text = dump_records([make_record(name="A"), make_record(name="B")])
+        path.write_bytes(text.replace("B", "B\udcff").encode("utf-8", "surrogateescape"))
+        code, out, err = run(capsys, "pairwise", "--input", str(path), "A", "B")
+        assert code == 2
+        assert err.startswith("ranksig: error: line 3: input is not valid UTF-8")
+        assert out == ""
+
+    @pytest.mark.parametrize("labels, line", [
+        (b"\xff\xfe", 1),
+        (b'name,category\nx1,cat\n"' + b"a" * 140_000 + b"\n", 3),
+        (b'name,category\n"Two\nLines U",cat\nlonely\n', 4),
+    ], ids=["not-utf8", "overlong-field", "after-quoted-line-break"])
+    def test_bad_labels_file_names_its_line(self, capsys, tmp_path, labels, line):
+        bad, ok = tmp_path / "bad.csv", tmp_path / "ok.csv"
+        bad.write_bytes(labels)
+        ok.write_text("name,category\nx1,cat\nx2,dog\n")
+        code, out, err = run(capsys, "compare", "--labels-a", str(bad), "--labels-b", str(ok))
+        assert code == 2
+        assert err.startswith(f"ranksig: error: line {line}: ")
+        assert out == ""
+
     def test_usage_error_exit_2(self, capsys):
         code, _, err = run(capsys, "group", "--criterion", "astrology")
         assert code == 2
@@ -476,16 +500,67 @@ class TestLineBreakInName:
         assert self.NAME in [row[2] for row in self._rows(out, 4)]
 
 
+def _child_env(no_color="1"):
+    """Environment of a new process that imports this checkout of ranksig;
+    RANKSIG_NO_COLOR is ``no_color``, or unset when that is None."""
+    src = str(Path(ranksig.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "RANKSIG_NO_COLOR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    if no_color is not None:
+        env["RANKSIG_NO_COLOR"] = no_color
+    return env
+
+
 def _python(*args, cwd=None):
     """``python *args`` in a new process that imports this checkout of ranksig."""
-    src = str(Path(ranksig.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    env["RANKSIG_NO_COLOR"] = "1"
     return subprocess.run(
         [sys.executable, *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        cwd=cwd, env=_child_env(), capture_output=True, text=True, timeout=120,
     )
+
+
+def _on_a_terminal(*argv, no_color=None):
+    """stdout of ``ranksig *argv`` in a new process whose stdout is a pseudo-terminal."""
+    main_fd, child_fd = pty.openpty()
+    try:
+        try:
+            # the trio's reports are far smaller than the terminal's buffer
+            subprocess.run([sys.executable, "-m", "ranksig.cli", *argv], stdout=child_fd,
+                           stderr=subprocess.DEVNULL, env=_child_env(no_color), timeout=120,
+                           check=True)
+        finally:
+            os.close(child_fd)
+        chunks = []
+        while True:
+            try:
+                chunk = os.read(main_fd, 4096)
+            except OSError:  # EIO: the terminal has no writer left
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+    finally:
+        os.close(main_fd)
+    return b"".join(chunks).decode("utf-8")
+
+
+class TestColor:
+    """Bold headings on a terminal; RANKSIG_NO_COLOR and --out turn them off."""
+
+    def test_terminal_report_is_bold(self):
+        assert "\x1b[1m== Group 1 ==\x1b[0m" in _on_a_terminal("group")
+
+    def test_no_color_setting(self):
+        out = _on_a_terminal("group", no_color="1")
+        assert "== Group 1 ==" in out and "\x1b" not in out
+
+    def test_out_file_is_plain(self, tmp_path):
+        argv = ("pairwise", "Peking University", "Zhejiang University")
+        assert "\x1b[1m" in _on_a_terminal(*argv)
+        report = tmp_path / "report.txt"
+        _on_a_terminal(*argv, "--out", str(report))
+        text = report.read_text(encoding="utf-8")
+        assert "Two-proportion z" in text and "\x1b" not in text
 
 
 def _loaded_after(statement):

@@ -27,7 +27,7 @@ TSINGHUA_ROW = "Tsinghua University,CN,2015-2018,All sciences,frac,19902,2738,0.
 
 def parse_rows(*rows, directive=None, header=HEADER, selector=None):
     lines = ([directive] if directive else []) + [header, *rows]
-    return parse_records("\n".join(lines), selector)
+    return select_records(parse_records("\n".join(lines)), selector)
 
 
 class TestParsing:

@@ -3,7 +3,7 @@
 ``reference_graph`` is the scalar loop build_graph used before the pass
 was vectorised: one ``link_z`` (and, under the interval criterion, one
 ``ci_relation``) per pair in name order. The vectorised pass must give
-the same edge list with bit-equal z, the same strong flags and relations,
+the same edge list with bit-equal z, the same strong flags,
 the same DegeneratePoolWarning count, and the same exception when a pair
 cannot be tested.
 """
@@ -43,9 +43,7 @@ def reference_graph(records, criterion, threshold, proportions):
                 rel = ci_relation(a.interval(), b.interval())
                 if rel.kind is not RelationKind.DISJOINT:
                     edges.append(GraphEdge(
-                        a.name, b.name, z,
-                        relation=rel,
-                        strong=rel.kind is RelationKind.CONTAINMENT,
+                        a.name, b.name, z, strong=rel.kind is RelationKind.CONTAINMENT,
                     ))
     return node_z, edges
 
@@ -65,7 +63,7 @@ def outcome(fn):
             result = ("raised", type(exc), str(exc))
         else:
             # z.hex(): bit equality, so 0.0 and -0.0 count as different
-            result = nodes, [(e.a, e.b, e.z.hex(), e.strong, e.relation) for e in edges]
+            result = nodes, [(e.a, e.b, e.z.hex(), e.strong) for e in edges]
     count = sum(issubclass(w.category, DegeneratePoolWarning) for w in caught)
     return result, count
 
