@@ -14,10 +14,10 @@ import importlib
 
 _SUBMODULES = ("compare", "data", "dynamics", "errors", "export", "ingest", "siggraph", "stats")
 _EXPORTS = {
-    "compare": ("SeriesPoint", "cramers_v", "crosstab", "crosstab_chi_square", "phi",
-                "scores_by_category", "spearman", "z_distribution_series"),
-    "dynamics": ("ChangeDecomposition", "IndicatorField", "StabilityInterval", "aligned_series",
-                 "bootstrap_interval", "decompose_change", "series_view"),
+    "compare": ("SeriesPoint", "cramers_v", "crosstab", "phi", "scores_by_category", "spearman",
+                "z_distribution_series"),
+    "dynamics": ("ChangeDecomposition", "StabilityInterval", "bootstrap_interval",
+                 "decompose_change"),
     "errors": ("RanksigError",),
     "export": ("render_graph", "write_graph"),
     "ingest": ("Counting", "DatasetSelector", "InstitutionRecord", "dump_records",
@@ -26,11 +26,10 @@ _EXPORTS = {
                  "SignificanceGraph", "build_graph", "cluster", "modularity", "rank_groups",
                  "weak_components"),
     "stats": ("ALPHA_THRESHOLDS", "ContingencyTable", "Direction", "IntervalRelation",
-              "PairwiseTest", "RelationKind", "SignificanceLevel", "chi_square",
-              "chi_square_level", "chi_square_terms", "ci_relation", "expected_table", "link_z",
-              "pair_table", "pairwise_test", "pooled_proportion", "significance_level",
-              "standardized_residuals", "threshold_for_alpha", "z_two_proportions",
-              "z_vs_expectation"),
+              "RelationKind", "SignificanceLevel", "chi_square", "chi_square_level",
+              "chi_square_terms", "ci_relation", "expected_table", "link_z", "pair_table",
+              "pooled_proportion", "significance_level", "standardized_residuals",
+              "threshold_for_alpha", "z_two_proportions", "z_vs_expectation"),
 }
 # public name -> the submodule that defines it (a submodule names itself)
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -172,24 +172,30 @@ def _tiers(grouping: Grouping) -> Tuple[Dict[str, str], Dict[str, int]]:
 
 
 def _read_labels(path: str) -> Dict[str, str]:
-    """name -> category map from a two-column CSV with a header row, read as records are."""
+    """name -> category map from a two-column CSV with a header row, read as records are.
+
+    A MalformedRow names the file, as ``load_records`` does.
+    """
     from .ingest import _as_text, _rows
-    with open(path, "rb") as fh:
-        rows = _rows(io.StringIO(_as_text(fh), newline=""), 0)
-    if next(rows, None) is None:
-        raise MalformedRow(1, f"{path}: empty labels file")
     labels: Dict[str, str] = {}
-    for line_no, row in rows:
-        if not row or not "".join(row).strip():
-            continue
-        if len(row) < 2:
-            raise MalformedRow(line_no, f"{path}: need name and category columns")
-        name, category = row[0].strip(), row[1].strip()
-        if name in labels and labels[name] != category:
-            raise DuplicateRecord(f"{path}: conflicting categories for {name!r}")
-        labels.setdefault(name, category)
-    if not labels:
-        raise MalformedRow(1, f"{path}: no label rows")
+    try:
+        with open(path, "rb") as fh:
+            rows = _rows(io.StringIO(_as_text(fh), newline=""), 0)
+        if next(rows, None) is None:
+            raise MalformedRow(1, "empty labels file")
+        for line_no, row in rows:
+            if not row or not "".join(row).strip():
+                continue
+            if len(row) < 2:
+                raise MalformedRow(line_no, "need name and category columns")
+            name, category = row[0].strip(), row[1].strip()
+            if name in labels and labels[name] != category:
+                raise DuplicateRecord(f"{path}: conflicting categories for {name!r}")
+            labels.setdefault(name, category)
+        if not labels:
+            raise MalformedRow(1, "no label rows")
+    except MalformedRow as exc:
+        raise MalformedRow(exc.line_no, f"{path}: {exc.reason}") from None
     return labels
 
 
@@ -371,7 +377,7 @@ def _compare_report(sides, ordinals, heading, bold) -> str:
     shared = sorted(set(label_a) & set(label_b))
     _two_categories(sides, shared)
     ct = cmp_mod.crosstab(label_a, label_b)
-    chi2 = cmp_mod.crosstab_chi_square(ct)
+    chi2 = stats.chi_square(ct)
     dof = (len(ct.rows) - 1) * (len(ct.cols) - 1)
     level = stats.chi_square_level(chi2, dof)
     v = cmp_mod.cramers_v(ct)

@@ -17,7 +17,7 @@ from .ingest import InstitutionRecord
 from .stats import ContingencyTable, chi_square, z_vs_expectation
 
 __all__ = [
-    "crosstab", "crosstab_chi_square", "cramers_v", "phi", "spearman",
+    "crosstab", "cramers_v", "phi", "spearman",
     "SeriesPoint", "z_distribution_series", "scores_by_category",
 ]
 
@@ -51,11 +51,6 @@ def crosstab(
         cols=tuple(col_cats),
         observed=tuple(tuple(float(c) for c in row) for row in counts),
     )
-
-
-def crosstab_chi_square(ct: ContingencyTable) -> float:
-    """Chi-square of a cross-tabulation (delegates to the core statistic)."""
-    return chi_square(ct)
 
 
 def cramers_v(ct: ContingencyTable) -> float:

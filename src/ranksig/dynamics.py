@@ -19,21 +19,16 @@ import cost; ``TestStartup`` in ``tests/test_cli.py`` checks this.
 
 from __future__ import annotations
 
-import enum
 import math
-import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
-from .errors import AmbiguousPeriodLabel, EmptyInstitution, InvalidStatistic
+from .errors import EmptyInstitution, InvalidStatistic
 
 if TYPE_CHECKING:
     from .ingest import InstitutionRecord
 
-__all__ = [
-    "StabilityInterval", "ChangeDecomposition", "IndicatorField",
-    "bootstrap_interval", "decompose_change", "series_view", "aligned_series",
-]
+__all__ = ["StabilityInterval", "ChangeDecomposition", "bootstrap_interval", "decompose_change"]
 
 
 @dataclass(frozen=True)
@@ -165,65 +160,3 @@ def decompose_change(
         data_share=data_share,
         model_share=model_share,
     )
-
-
-class IndicatorField(enum.Enum):
-    P = "p"
-    T_TOP10 = "t_top10"
-    PP_TOP10 = "pp_top10"
-
-    def of(self, rec: InstitutionRecord) -> float:
-        return getattr(rec, self.value)
-
-
-_YEAR = re.compile(r"^\s*(\d{4})")
-
-
-def _start_year(period: str) -> int:
-    m = _YEAR.match(period)
-    if not m:
-        raise AmbiguousPeriodLabel(
-            f"period label {period!r} has no parseable start year"
-        )
-    return int(m.group(1))
-
-
-def series_view(
-    records: Iterable[InstitutionRecord], value: IndicatorField
-) -> Tuple[Tuple[str, float], ...]:
-    """One institution's indicator across periods as ordered (period, value) pairs.
-
-    Periods sort by the four-digit start year of their label; a duplicate
-    period label keeps its first record.
-    """
-    seen = _period_values(records, value)
-    if not seen:
-        raise AmbiguousPeriodLabel("no records to view")
-    return tuple((period, seen[(year, period)]) for year, period in sorted(seen))
-
-
-def aligned_series(
-    a_records: Iterable[InstitutionRecord],
-    b_records: Iterable[InstitutionRecord],
-    value: IndicatorField,
-) -> Tuple[Tuple[str, Optional[float], Optional[float]], ...]:
-    """Two datasets' series aligned on period for side-by-side diffing.
-
-    Rows are (period, value_in_a, value_in_b) over the union of periods;
-    a missing side is None. Useful for comparing a yearly-edition series
-    against a reconstructed series.
-    """
-    a = _period_values(a_records, value)
-    b = _period_values(b_records, value)
-    keys = sorted(set(a) | set(b))
-    return tuple((period, a.get((year, period)), b.get((year, period)))
-                 for year, period in keys)
-
-
-def _period_values(records: Iterable[InstitutionRecord], value: IndicatorField):
-    out = {}
-    for rec in records:
-        key = (_start_year(rec.period), rec.period)
-        if key not in out:
-            out[key] = value.of(rec)
-    return out

@@ -77,12 +77,6 @@ class ConstantInput(RanksigError):
     """Rank correlation of an all-equal sequence is undefined."""
 
 
-# --- dynamics ---
-
-class AmbiguousPeriodLabel(RanksigError):
-    """A period label carries no parseable start year."""
-
-
 # --- cli ---
 
 class UnknownInstitution(RanksigError):

@@ -382,9 +382,12 @@ def select_records(
 
 
 def load_records(path) -> list:
-    """parse_records over a file path."""
+    """parse_records over a file path; a MalformedRow names the file."""
     with open(path, "rb") as fh:
-        return parse_records(fh)
+        try:
+            return parse_records(fh)
+        except MalformedRow as exc:
+            raise MalformedRow(exc.line_no, f"{path}: {exc.reason}") from None
 
 
 def _fmt(value: Optional[float]) -> str:

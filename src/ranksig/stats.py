@@ -36,12 +36,12 @@ from .ingest import InstitutionRecord
 
 __all__ = [
     "Z_P05", "Z_P01", "Z_P001", "ALPHA_THRESHOLDS", "threshold_for_alpha",
-    "SignificanceLevel", "ContingencyTable", "PairwiseTest",
+    "SignificanceLevel", "ContingencyTable",
     "RelationKind", "Direction", "IntervalRelation",
     "expected_table", "chi_square_terms", "chi_square",
     "standardized_residuals", "pooled_proportion", "z_two_proportions",
     "z_vs_expectation", "significance_level", "chi_square_level",
-    "ci_relation", "pair_table", "pairwise_test",
+    "ci_relation", "pair_table", "link_z",
 ]
 
 # Two-sided z thresholds for the three conventional significance levels.
@@ -130,18 +130,6 @@ class ContingencyTable:
 
     def cell(self, row_label: str, col_label: str) -> float:
         return self.observed[self.rows.index(row_label)][self.cols.index(col_label)]
-
-
-@dataclass(frozen=True)
-class PairwiseTest:
-    """Result of testing two institutions against each other."""
-
-    a: str
-    b: str
-    z: float
-    chi2: float
-    residuals: Tuple[Tuple[float, ...], ...]
-    level: SignificanceLevel
 
 
 class RelationKind(enum.Enum):
@@ -433,19 +421,3 @@ def link_z(
     else:
         p1, p2 = a.pp_top10, b.pp_top10
     return z_two_proportions(p1, a.p, p2, b.p, pooled)
-
-
-def pairwise_test(
-    a: InstitutionRecord, b: InstitutionRecord, proportions: str = "stored"
-) -> PairwiseTest:
-    """Full pairwise comparison: z, chi-square, residuals, significance class."""
-    table = pair_table(a, b)
-    z = link_z(a, b, proportions)
-    return PairwiseTest(
-        a=a.name,
-        b=b.name,
-        z=z,
-        chi2=chi_square(table),
-        residuals=standardized_residuals(table),
-        level=significance_level(z),
-    )

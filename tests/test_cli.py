@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import dataclasses
 import gc
@@ -24,6 +25,7 @@ from ranksig.ingest import dump_records, load_records
 from ranksig.siggraph import build_graph
 
 from conftest import make_record
+from test_readme import BLOCKS as README_BLOCKS
 
 
 def run(capsys, *argv):
@@ -377,7 +379,33 @@ class TestErrorPaths:
         path.write_bytes(text.replace("B", "B\udcff").encode("utf-8", "surrogateescape"))
         code, out, err = run(capsys, "pairwise", "--input", str(path), "A", "B")
         assert code == 2
-        assert err.startswith("ranksig: error: line 3: input is not valid UTF-8")
+        assert err.startswith(f"ranksig: error: line 3: {path}: input is not valid UTF-8")
+        assert out == ""
+
+    # line 3 of the second file ends in a bad byte, or holds too few cells
+    @pytest.mark.parametrize("fault, reason", [
+        (b"\xff", "input is not valid UTF-8"), (b"", "expected 10 cells, got 1"),
+    ], ids=["not-utf8", "short-row"])
+    def test_second_input_file_is_named(self, capsys, tmp_path, fault, reason):
+        ok, bad = tmp_path / "ok.csv", tmp_path / "bad.csv"
+        ok.write_text(dump_records([make_record(name="A"), make_record(name="B")]))
+        bad.write_bytes(dump_records([make_record(name="C")]).encode("utf-8")
+                        + b"D" + fault + b"\n")
+        code, out, err = run(capsys, "group", "--input", str(ok), "--input", str(bad))
+        assert code == 2
+        assert err.startswith(f"ranksig: error: line 3: {bad}: {reason}")
+        assert out == ""
+
+    @pytest.mark.parametrize("fault, reason", [
+        (b"\xff", "input is not valid UTF-8"), (b"", "need name and category columns"),
+    ], ids=["not-utf8", "short-row"])
+    def test_second_labels_file_is_named(self, capsys, tmp_path, fault, reason):
+        ok, bad = tmp_path / "ok.csv", tmp_path / "bad.csv"
+        ok.write_text("name,category\nx1,cat\nx2,dog\n")
+        bad.write_bytes(b"name,category\nx1,cat\nx2" + fault + b"\n")
+        code, out, err = run(capsys, "compare", "--labels-a", str(ok), "--labels-b", str(bad))
+        assert code == 2
+        assert err.startswith(f"ranksig: error: line 3: {bad}: {reason}")
         assert out == ""
 
     @pytest.mark.parametrize("labels, line", [
@@ -391,7 +419,7 @@ class TestErrorPaths:
         ok.write_text("name,category\nx1,cat\nx2,dog\n")
         code, out, err = run(capsys, "compare", "--labels-a", str(bad), "--labels-b", str(ok))
         assert code == 2
-        assert err.startswith(f"ranksig: error: line {line}: ")
+        assert err.startswith(f"ranksig: error: line {line}: {bad}: ")
         assert out == ""
 
     def test_usage_error_exit_2(self, capsys):
@@ -711,19 +739,18 @@ class TestTracedNames:
             cli.no_such_name
 
 
-# the names ``import ranksig`` exposed when it imported every submodule
+# the public names of ``ranksig``: each re-exported name and each submodule
 PUBLIC_NAMES = sorted("""
     ALPHA_THRESHOLDS ChangeDecomposition ContingencyTable Counting Criterion DatasetSelector
-    Direction GraphEdge GraphNode GroupTable Grouping IndicatorField InstitutionRecord
-    IntervalRelation PairwiseTest RankedRow RanksigError RelationKind SeriesPoint
-    SignificanceGraph SignificanceLevel StabilityInterval aligned_series bootstrap_interval
-    build_graph chi_square chi_square_level chi_square_terms ci_relation cluster compare
-    cramers_v crosstab crosstab_chi_square data decompose_change dump_records dynamics errors
-    expected_table export ingest link_z load_records modularity pair_table pairwise_test
-    parse_records phi pooled_proportion rank_groups render_graph scores_by_category
-    select_records series_view siggraph significance_level spearman standardized_residuals
-    stats threshold_for_alpha weak_components write_graph z_distribution_series
-    z_two_proportions z_vs_expectation
+    Direction GraphEdge GraphNode GroupTable Grouping InstitutionRecord IntervalRelation
+    RankedRow RanksigError RelationKind SeriesPoint SignificanceGraph SignificanceLevel
+    StabilityInterval bootstrap_interval build_graph chi_square chi_square_level
+    chi_square_terms ci_relation cluster compare cramers_v crosstab data decompose_change
+    dump_records dynamics errors expected_table export ingest link_z load_records modularity
+    pair_table parse_records phi pooled_proportion rank_groups render_graph
+    scores_by_category select_records siggraph significance_level spearman
+    standardized_residuals stats threshold_for_alpha weak_components write_graph
+    z_distribution_series z_two_proportions z_vs_expectation
 """.split())
 SUBMODULES = ("compare", "data", "dynamics", "errors", "export", "ingest", "siggraph", "stats")
 
@@ -732,6 +759,18 @@ def _in_new_process(script):
     result = _python("-c", script)
     assert result.returncode == 0, result.stderr
     return result.stdout
+
+
+def _names_read(code, strings=False):
+    """Each name a module loads or an attribute it names; with ``strings``, its
+    string constants too."""
+    for node in ast.walk(ast.parse(code)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
 
 
 class TestPublicSurface:
@@ -765,6 +804,26 @@ class TestPublicSurface:
 
     def test_unknown_attribute(self):
         assert not hasattr(ranksig, "no_such_name")
+
+    @pytest.mark.parametrize("name", SUBMODULES)
+    def test_submodule_star_import(self, name):
+        # fails on an ``__all__`` entry that names something gone
+        _in_new_process(f"from ranksig.{name} import *\n")
+
+    def test_every_public_name_is_read(self):
+        """A re-exported name that no library module, bench file or README
+        example reads is surface nothing uses. bench/spans.py names the
+        functions it wraps as strings, so bench strings count."""
+        root = Path(__file__).resolve().parents[1]
+        read = set()
+        for path in (root / "src" / "ranksig").rglob("*.py"):
+            read.update(_names_read(path.read_text(encoding="utf-8")))
+        for path in (root / "bench").glob("*.py"):
+            read.update(_names_read(path.read_text(encoding="utf-8"), strings=True))
+        for code in README_BLOCKS:
+            read.update(_names_read(code))
+        exported = {name for names in ranksig._EXPORTS.values() for name in names}
+        assert sorted(exported - read) == []
 
 
 class TestCountedWarnings:

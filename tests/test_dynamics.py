@@ -1,17 +1,10 @@
-import math
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ranksig.dynamics import (
-    IndicatorField,
-    aligned_series,
-    bootstrap_interval,
-    decompose_change,
-    series_view,
-)
-from ranksig.errors import AmbiguousPeriodLabel, EmptyInstitution, InvalidStatistic
+from ranksig.dynamics import bootstrap_interval, decompose_change
+from ranksig.errors import EmptyInstitution, InvalidStatistic
 
 from conftest import make_record
 
@@ -116,49 +109,3 @@ class TestBootstrap:
             bootstrap_interval(rec, draws=0)
         with pytest.raises(InvalidStatistic):
             bootstrap_interval(rec, coverage=1.0)
-
-
-class TestSeriesView:
-    def periods(self, labels, values):
-        return [
-            make_record(name="Fudan-like U", period=lab, p=v, pp=0.1)
-            for lab, v in zip(labels, values)
-        ]
-
-    def test_orders_by_start_year(self):
-        recs = self.periods(
-            ["2016-2019", "2012-2015", "2014-2017"], [300.0, 100.0, 200.0]
-        )
-        series = series_view(recs, IndicatorField.P)
-        assert series == (
-            ("2012-2015", 100.0), ("2014-2017", 200.0), ("2016-2019", 300.0)
-        )
-
-    def test_single_period(self):
-        (pt,) = series_view(self.periods(["2015-2018"], [42.0]), IndicatorField.P)
-        assert pt == ("2015-2018", 42.0)
-
-    def test_field_selection(self):
-        recs = self.periods(["2015-2018"], [1000.0])
-        assert series_view(recs, IndicatorField.PP_TOP10)[0][1] == 0.1
-        assert series_view(recs, IndicatorField.T_TOP10)[0][1] == pytest.approx(100.0)
-
-    def test_unparseable_period(self):
-        with pytest.raises(AmbiguousPeriodLabel):
-            series_view(self.periods(["latest"], [1.0]), IndicatorField.P)
-
-    def test_aligned_series(self):
-        yearly = self.periods(["2012-2015", "2016-2019"], [100.0, 120.0])
-        rebuilt = self.periods(["2012-2015", "2014-2017"], [95.0, 110.0])
-        rows = aligned_series(yearly, rebuilt, IndicatorField.P)
-        assert rows == (
-            ("2012-2015", 100.0, 95.0),
-            ("2014-2017", None, 110.0),
-            ("2016-2019", 120.0, None),
-        )
-
-    def test_aligned_series_diffs_edition_against_reconstruction(self):
-        yearly = [make_record(name="F U", period="2012-2015", p=9000.0, pp=0.0981)]
-        rebuilt = [make_record(name="F U", period="2012-2015", p=9000.0, pp=0.0954)]
-        (row,) = aligned_series(yearly, rebuilt, IndicatorField.PP_TOP10)
-        assert row == ("2012-2015", 0.0981, 0.0954)

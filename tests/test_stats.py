@@ -28,7 +28,6 @@ from ranksig.stats import (
     expected_table,
     link_z,
     pair_table,
-    pairwise_test,
     pooled_proportion,
     significance_level,
     standardized_residuals,
@@ -430,8 +429,8 @@ class TestPairwise:
             p1, p2 = rng.uniform(100, 50000, size=2)
             a = make_record(name="A", p=p1, pp=float(rng.uniform(0.02, 0.5)))
             b = make_record(name="B", p=p2, pp=float(rng.uniform(0.02, 0.5)))
-            test = pairwise_test(a, b, proportions="exact")
-            assert test.z * test.z == pytest.approx(test.chi2, rel=1e-6)
+            assert link_z(a, b, "exact") ** 2 == pytest.approx(
+                chi_square(pair_table(a, b)), rel=1e-6)
 
     def test_antisymmetry_over_records(self):
         a = make_record(name="A", p=1000.0, pp=0.15)
@@ -442,9 +441,7 @@ class TestPairwise:
     def test_level_comes_from_z(self):
         a = make_record(name="A", p=19902.0, t=2738.0, pp=0.1376)
         b = make_record(name="B", p=23510.0, t=2604.0, pp=0.1108)
-        test = pairwise_test(a, b)
-        assert test.level is SignificanceLevel.P001
-        assert test.a == "A" and test.b == "B"
+        assert significance_level(link_z(a, b)) is SignificanceLevel.P001
 
     def test_pair_table_layout(self):
         a = make_record(name="A", p=100.0, t=20.0, pp=0.2)
