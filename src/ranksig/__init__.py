@@ -22,7 +22,7 @@ _EXPORTS = {
     "export": ("render_graph", "write_graph"),
     "ingest": ("Counting", "DatasetSelector", "InstitutionRecord", "dump_records",
                "load_records", "parse_records", "select_records"),
-    "siggraph": ("Criterion", "GraphEdge", "GraphNode", "GroupTable", "Grouping", "RankedRow",
+    "siggraph": ("Criterion", "GraphEdge", "GroupTable", "Grouping", "RankedRow",
                  "SignificanceGraph", "build_graph", "cluster", "modularity", "rank_groups",
                  "weak_components"),
     "stats": ("ALPHA_THRESHOLDS", "ContingencyTable", "Direction", "IntervalRelation",

@@ -22,7 +22,12 @@ class MalformedRow(RanksigError):
 
 
 class InvariantViolation(RanksigError):
-    """A record's fields violate the record invariants."""
+    """A record's fields violate the record invariants; ``line_no`` locates
+    the row of an input file, as for MalformedRow, or is None."""
+
+    def __init__(self, reason: str, line_no=None):
+        self.line_no, self.reason = line_no, reason
+        super().__init__(reason if line_no is None else f"line {line_no}: {reason}")
 
 
 class NoMatch(RanksigError):

@@ -47,7 +47,7 @@ def _dot(g: SignificanceGraph):
         return _fill("  %s -- %s [z=%.6f%s];\n", [quoted[i] for i in g.src[s].tolist()],
                      [quoted[j] for j in g.dst[s].tolist()], g.z[s].tolist(),
                      [strong_attr[f] for f in g.strong[s].tolist()])
-    head = "graph ranksig {\n" + _fill("  %s [z=%.6f];\n", quoted, [n.z for n in g.nodes])
+    head = "graph ranksig {\n" + _fill("  %s [z=%.6f];\n", quoted, g.node_z.tolist())
     return head, block, "}\n"
 
 
@@ -58,7 +58,7 @@ def _pajek(g: SignificanceGraph):
     def block(s: slice) -> str:
         return _fill("%d %d %.6f\n", (g.src[s] + 1).tolist(), (g.dst[s] + 1).tolist(),
                      abs(g.z[s]).tolist())
-    head = (f"*Vertices {len(g.nodes)}\n"
+    head = (f"*Vertices {len(labels)}\n"
             + _fill('%d "%s"\n', list(range(1, len(labels) + 1)), labels) + "*Edges\n")
     return head, block, ""
 
@@ -82,8 +82,9 @@ def _vjson(g: SignificanceGraph):
                       json.dumps(abs(g.z[s]).tolist())[1:-1].split(", "), (g.dst[s] + 1).tolist())
         return "[" + links[1:] if s.start == 0 else links
     # every entry starts with a comma; the first one of a list opens it instead
-    items = _fill(_VJSON_ITEM, list(range(1, len(g.nodes) + 1)),
-                  [json.dumps(n.name) for n in g.nodes], [json.dumps(n.z) for n in g.nodes])
+    items = _fill(_VJSON_ITEM, list(range(1, len(g.names) + 1)),
+                  [json.dumps(name) for name in g.names],
+                  [json.dumps(z) for z in g.node_z.tolist()])
     head = ('{\n  "network": {\n    "items": ' + ("[" + items[1:] + "\n    ]" if items else "[]")
             + ',\n    "links": ' + ("" if g.edge_count else "[]"))
     return head, block, ("\n    ]" if g.edge_count else "") + "\n  }\n}\n"

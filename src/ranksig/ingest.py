@@ -346,7 +346,7 @@ def _build_record(cells: dict, line_no: int, percent: bool) -> InstitutionRecord
             )
     except InvariantViolation as exc:
         # a name recurs once per slice, so the line is what locates the row
-        raise InvariantViolation(f"line {line_no}: {exc}") from None
+        raise InvariantViolation(exc.reason, line_no) from None
     return rec
 
 
@@ -382,12 +382,12 @@ def select_records(
 
 
 def load_records(path) -> list:
-    """parse_records over a file path; a MalformedRow names the file."""
+    """parse_records over a file path; an error located at a row names the file."""
     with open(path, "rb") as fh:
         try:
             return parse_records(fh)
-        except MalformedRow as exc:
-            raise MalformedRow(exc.line_no, f"{path}: {exc.reason}") from None
+        except (MalformedRow, InvariantViolation) as exc:
+            raise type(exc)(line_no=exc.line_no, reason=f"{path}: {exc.reason}") from None
 
 
 def _fmt(value: Optional[float]) -> str:

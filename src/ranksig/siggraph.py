@@ -36,7 +36,7 @@ from .stats import (
 )
 
 __all__ = [
-    "Criterion", "GraphNode", "GraphEdge", "SignificanceGraph",
+    "Criterion", "GraphEdge", "SignificanceGraph",
     "Grouping", "RankedRow", "GroupTable",
     "build_graph", "weak_components", "modularity", "cluster", "rank_groups",
 ]
@@ -44,18 +44,15 @@ __all__ = [
 # Smallest modularity improvement worth a move; also the convergence cutoff.
 _GAIN_EPS = 1e-12
 
+# The array fields of a SignificanceGraph: frozen on construction, compared by value.
+_ARRAYS = ("node_z", "src", "dst", "z", "strong")
+
 
 class Criterion(enum.Enum):
     """How indistinguishability is decided when building the graph."""
 
     Z_TEST = "ztest"
     CI_OVERLAP = "ci"
-
-
-@dataclass(frozen=True)
-class GraphNode:
-    name: str
-    z: float
 
 
 @dataclass(frozen=True)
@@ -75,15 +72,16 @@ class SignificanceGraph:
     Nodes are sorted by name and edges by endpoint pair, so two graphs over
     the same data compare equal regardless of construction order.
 
-    Edges are stored as parallel arrays in that canonical order: ``src``
-    and ``dst`` index into ``nodes`` (``src < dst``), ``z`` holds the pair
-    z and ``strong`` the containment flag (one interval contains the other).
+    Nodes are two columns by node index: ``names``, and each node's z in
+    ``node_z``. Edges are parallel arrays in canonical order: ``src`` and
+    ``dst`` are node indices (``src < dst``), ``z`` holds the pair z and
+    ``strong`` the containment flag (one interval contains the other).
     Graphs are immutable, arrays included: a writeable input array is
     copied, so the caller's array stays writeable.
 
     The constructor checks nothing: ``build_graph`` and ``from_scores``,
-    the two builders, guarantee ``src < dst``, unique pairs and row-major
-    (src, dst) order.
+    the two builders, guarantee name order, ``src < dst``, unique pairs and
+    row-major (src, dst) order.
 
     ``edges`` is the same edge list as a tuple of GraphEdge, built on first
     use. Nothing in the package reads it; it stays because the benchmark
@@ -91,14 +89,15 @@ class SignificanceGraph:
     tracer reads the arrays.
     """
 
-    nodes: Tuple[GraphNode, ...]
+    names: Tuple[str, ...]
+    node_z: np.ndarray
     src: np.ndarray
     dst: np.ndarray
     z: np.ndarray
     strong: np.ndarray
 
     def __post_init__(self):
-        for name in ("src", "dst", "z", "strong"):
+        for name in _ARRAYS:
             a = getattr(self, name)
             if a.flags.writeable:
                 a = a.copy()
@@ -108,19 +107,14 @@ class SignificanceGraph:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (
-            self.nodes == other.nodes
-            and np.array_equal(self.src, other.src)
-            and np.array_equal(self.dst, other.dst)
-            and np.array_equal(self.z, other.z)
-            and np.array_equal(self.strong, other.strong)
-        )
+        return self.names == other.names and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _ARRAYS)
 
     def __hash__(self):
-        return hash((self.nodes, self.edge_count))
+        return hash((self.names, self.edge_count))
 
     def __repr__(self):
-        return f"SignificanceGraph({len(self.nodes)} nodes, {self.edge_count} edges)"
+        return f"SignificanceGraph({len(self.names)} nodes, {self.edge_count} edges)"
 
     @classmethod
     def from_scores(
@@ -130,16 +124,20 @@ class SignificanceGraph:
     ) -> "SignificanceGraph":
         """Build a graph from (name, z) pairs and (a, b) or (a, b, z) edges.
 
-        Useful for feeding externally computed z tables. An edge without z
-        gets 0.0, and no edge is strong. Edges are checked in input order: a
-        self-edge, an endpoint that is not a node, and a pair given twice (in
-        either orientation) raise ValueError.
+        Useful for feeding externally computed z tables. A NaN node z raises
+        InvalidStatistic (it has no place in the z order); +-inf is kept. An
+        edge without z gets 0.0, and no edge is strong. Edges are checked in
+        input order: a self-edge, an endpoint that is not a node, and a pair
+        given twice (in either orientation) raise ValueError.
         """
-        nodes = tuple(sorted((GraphNode(name, float(z)) for name, z in scores),
-                             key=lambda n: n.name))
-        index = {n.name: i for i, n in enumerate(nodes)}
-        if len(index) != len(nodes):
+        nodes = sorted((name, float(z)) for name, z in scores)
+        names = tuple(name for name, _ in nodes)
+        index = {name: i for i, name in enumerate(names)}
+        if len(index) != len(names):
             raise DuplicateRecord("graph nodes must have unique names")
+        for name, z in nodes:
+            if math.isnan(z):
+                raise InvalidStatistic(f"node {name!r}: z is NaN")
         pair_z: Dict[Tuple[int, int], float] = {}
         for a, b, *z in edges:
             if a == b:
@@ -148,11 +146,12 @@ class SignificanceGraph:
                 raise ValueError(f"edge ({a!r}, {b!r}) references a missing node")
             i, j = sorted((index[a], index[b]))
             if (i, j) in pair_z:
-                raise ValueError(f"duplicate edge ({nodes[i].name!r}, {nodes[j].name!r})")
+                raise ValueError(f"duplicate edge ({names[i]!r}, {names[j]!r})")
             pair_z[i, j] = float(z[0]) if z else 0.0
         pairs = sorted(pair_z)
         return cls(
-            nodes,
+            names,
+            np.array([z for _, z in nodes], dtype=np.float64),
             np.array([i for i, _ in pairs], dtype=np.intp),
             np.array([j for _, j in pairs], dtype=np.intp),
             np.array([pair_z[pair] for pair in pairs], dtype=np.float64),
@@ -164,10 +163,6 @@ class SignificanceGraph:
         return len(self.src)
 
     @cached_property
-    def names(self) -> Tuple[str, ...]:
-        return tuple(n.name for n in self.nodes)
-
-    @cached_property
     def edges(self) -> Tuple[GraphEdge, ...]:
         names = self.names
         return tuple(
@@ -177,33 +172,24 @@ class SignificanceGraph:
             )
         )
 
-    @property
-    def node_z(self) -> Dict[str, float]:
-        return {n.name: n.z for n in self.nodes}
-
 
 @dataclass(frozen=True)
 class Grouping:
-    """A partition of the node set into ordered tiers.
+    """A partition of the node set into tiers; ascending group id is tier order.
 
-    ``group_order`` lists group ids from the strongest tier down (by the
-    maximum node z inside each group); isolate singletons come last.
+    The builders number tiers 0..k-1 from the strongest down (by the
+    maximum node z inside each group), with isolate singletons last.
     """
 
     assignment: Dict[str, int]
-    group_order: Tuple[int, ...]
     isolates: frozenset = field(default_factory=frozenset)
 
-    def members(self, group_id: int) -> Tuple[str, ...]:
-        return tuple(sorted(n for n, g in self.assignment.items() if g == group_id))
-
     def groups(self) -> Tuple[Tuple[str, ...], ...]:
-        """``members(g)`` for each g in ``group_order``, from one pass over the assignment."""
-        buckets: Dict[int, List[str]] = {g: [] for g in self.group_order}
+        """Each group's members in name order, by ascending group id, from one pass."""
+        buckets: Dict[int, List[str]] = {}
         for name, g in self.assignment.items():
-            if g in buckets:
-                buckets[g].append(name)
-        return tuple(tuple(sorted(buckets[g])) for g in self.group_order)
+            buckets.setdefault(g, []).append(name)
+        return tuple(tuple(sorted(buckets[g])) for g in sorted(buckets))
 
 
 @dataclass(frozen=True)
@@ -248,9 +234,10 @@ def build_graph(
     exactly as a pair-by-pair loop would.
     """
     recs = sorted(records, key=lambda r: r.name)
-    if len({r.name for r in recs}) != len(recs):
+    names = tuple(r.name for r in recs)
+    if len(set(names)) != len(recs):
         raise DuplicateRecord("records passed to build_graph must have unique names")
-    nodes = tuple(GraphNode(r.name, z_vs_expectation(r)) for r in recs)
+    node_z = np.array([z_vs_expectation(r) for r in recs], dtype=np.float64)
 
     if criterion is Criterion.CI_OVERLAP:
         for r in recs:
@@ -296,7 +283,7 @@ def build_graph(
             r, c = np.nonzero(keep)
             parts.append((r + i0, c + (i0 + 1), z[r, c], strong[r, c]))
 
-    return SignificanceGraph(nodes, *(np.concatenate(col) for col in zip(*parts)))
+    return SignificanceGraph(names, node_z, *(np.concatenate(col) for col in zip(*parts)))
 
 
 def _grouping(g: SignificanceGraph, label: Sequence[int]) -> Grouping:
@@ -306,7 +293,7 @@ def _grouping(g: SignificanceGraph, label: Sequence[int]) -> Grouping:
     isolate tier is a degree-0 node alone under its label. Index order is
     name order, so members list by name and ties in z break by name.
     """
-    names, zs = g.names, [n.z for n in g.nodes]
+    names, zs = g.names, g.node_z.tolist()
     degree = np.bincount(np.concatenate((g.src, g.dst)), minlength=len(names)).tolist()
     tiers: Dict[int, List[int]] = {}
     for k, c in enumerate(label):
@@ -319,7 +306,6 @@ def _grouping(g: SignificanceGraph, label: Sequence[int]) -> Grouping:
     ordered = sorted(tiers.values(), key=sort_key)
     return Grouping(
         assignment={names[k]: gid for gid, members in enumerate(ordered) for k in members},
-        group_order=tuple(range(len(ordered))),
         isolates=frozenset(name for name, d in zip(names, degree) if not d),
     )
 
@@ -332,7 +318,7 @@ def weak_components(g: SignificanceGraph) -> Grouping:
 
     Min-label hooking and pointer jumping on the edge arrays.
     """
-    n = len(g.nodes)
+    n = len(g.names)
     label = np.arange(n)
     while True:
         a, b = label[g.src], label[g.dst]
@@ -407,7 +393,7 @@ def _louvain(g: SignificanceGraph, resolution: float, seed: int) -> List[int]:
     which a node's neighbours are scanned cannot change a decision.
     """
     rng = random.Random(seed)
-    size = len(g.nodes)
+    size = len(g.names)
     member = np.arange(size)
     a, b, w, loop = g.src, g.dst, np.ones(g.edge_count), np.zeros(size)
 
@@ -505,16 +491,12 @@ def rank_groups(g: SignificanceGraph, grouping: Grouping) -> Tuple[GroupTable, .
     within groups and overall.
     """
     _check_partition(g, grouping)
-    listed = set(grouping.group_order)
-    stray = sorted({grouping.assignment[n] for n in g.names} - listed)
-    if stray:
-        raise ValueError(f"group ids missing from group_order: {stray[:5]}")
-    zmap = g.node_z
+    zmap = dict(zip(g.names, g.node_z.tolist()))
     order = sorted(zmap, key=lambda n: (-zmap[n], n))
     overall = {name: i + 1 for i, name in enumerate(order)}
 
     tables = []
-    for gid, members in zip(grouping.group_order, grouping.groups()):
+    for gid, members in enumerate(grouping.groups()):
         members = sorted(members, key=lambda n: (-zmap[n], n))
         rows = tuple(
             RankedRow(

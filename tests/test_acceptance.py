@@ -172,7 +172,6 @@ def test_c8_published_tier_fixture():
         gid = {"top": 0, "middle": 1, "bottom": 2}
         grouping = Grouping(
             assignment={r.name: gid[r.tier] for r in tiers},
-            group_order=(0, 1, 2),
             isolates=frozenset(),
         )
         tables = rank_groups(graph, grouping)
@@ -258,11 +257,7 @@ def _grouping_from_parts(parts):
     for gid, comp in enumerate(parts):
         for name in comp:
             assignment[name] = gid
-    return Grouping(
-        assignment=assignment,
-        group_order=tuple(range(len(parts))),
-        isolates=frozenset(),
-    )
+    return Grouping(assignment=assignment, isolates=frozenset())
 
 
 def _planted_graph(k1, k2):

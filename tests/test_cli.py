@@ -396,6 +396,17 @@ class TestErrorPaths:
         assert err.startswith(f"ranksig: error: line 3: {bad}: {reason}")
         assert out == ""
 
+    def test_invariant_error_in_second_input_file_is_named(self, capsys, tmp_path):
+        ok, bad = tmp_path / "ok.csv", tmp_path / "inv.csv"
+        ok.write_text(dump_records([make_record(name="A"), make_record(name="B")]))
+        # line 3 parses but breaks a record invariant: t_top10 > p
+        bad.write_text(dump_records([make_record(name="C")])
+                       + "D,CN,2015-2018,All sciences,frac,100,150,1.5,,\n")
+        code, out, err = run(capsys, "group", "--input", str(ok), "--input", str(bad))
+        assert code == 2
+        assert err.startswith(f"ranksig: error: line 3: {bad}: D: t_top10 must satisfy")
+        assert out == ""
+
     @pytest.mark.parametrize("fault, reason", [
         (b"\xff", "input is not valid UTF-8"), (b"", "need name and category columns"),
     ], ids=["not-utf8", "short-row"])
@@ -742,7 +753,7 @@ class TestTracedNames:
 # the public names of ``ranksig``: each re-exported name and each submodule
 PUBLIC_NAMES = sorted("""
     ALPHA_THRESHOLDS ChangeDecomposition ContingencyTable Counting Criterion DatasetSelector
-    Direction GraphEdge GraphNode GroupTable Grouping InstitutionRecord IntervalRelation
+    Direction GraphEdge GroupTable Grouping InstitutionRecord IntervalRelation
     RankedRow RanksigError RelationKind SeriesPoint SignificanceGraph SignificanceLevel
     StabilityInterval bootstrap_interval build_graph chi_square chi_square_level
     chi_square_terms ci_relation cluster compare cramers_v crosstab data decompose_change

@@ -1,7 +1,7 @@
 """Graph writers against reference writers that walk the GraphEdge tuple.
 
 The references are the writers as they were before they read the edge
-arrays: string builders over ``g.nodes`` and ``g.edges`` and, for vjson,
+arrays: string builders over the node columns and ``g.edges`` and, for vjson,
 ``json.dumps(doc, indent=2, sort_keys=True)``. Every writer must give the
 same bytes on graphs built by build_graph and on graphs built from
 user-supplied edges, whatever the edge count is against the writers'
@@ -34,8 +34,8 @@ def _dot_quote(name):
 
 def reference_dot(g):
     lines = ["graph ranksig {"]
-    for node in g.nodes:
-        lines.append(f"  {_dot_quote(node.name)} [z={node.z:.6f}];")
+    for name, z in zip(g.names, g.node_z.tolist()):
+        lines.append(f"  {_dot_quote(name)} [z={z:.6f}];")
     for e in g.edges:
         attrs = f"z={e.z:.6f}"
         if e.strong:
@@ -46,11 +46,11 @@ def reference_dot(g):
 
 
 def reference_pajek(g):
-    ids = {node.name: i + 1 for i, node in enumerate(g.nodes)}
-    lines = [f"*Vertices {len(g.nodes)}"]
-    for node in g.nodes:
-        label = node.name.replace('"', "'")
-        lines.append(f'{ids[node.name]} "{label}"')
+    ids = {name: i + 1 for i, name in enumerate(g.names)}
+    lines = [f"*Vertices {len(g.names)}"]
+    for name in g.names:
+        label = name.replace('"', "'")
+        lines.append(f'{ids[name]} "{label}"')
     lines.append("*Edges")
     for e in g.edges:
         lines.append(f"{ids[e.a]} {ids[e.b]} {abs(e.z):.6f}")
@@ -58,12 +58,12 @@ def reference_pajek(g):
 
 
 def reference_vjson(g):
-    ids = {node.name: i + 1 for i, node in enumerate(g.nodes)}
+    ids = {name: i + 1 for i, name in enumerate(g.names)}
     doc = {
         "network": {
             "items": [
-                {"id": ids[n.name], "label": n.name, "weight": n.z}
-                for n in g.nodes
+                {"id": ids[name], "label": name, "weight": z}
+                for name, z in zip(g.names, g.node_z.tolist())
             ],
             "links": [
                 {"source_id": ids[e.a], "target_id": ids[e.b], "strength": abs(e.z)}

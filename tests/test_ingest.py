@@ -293,6 +293,18 @@ def test_load_records_from_path(tmp_path):
     assert rec.name == "Tsinghua University"
 
 
+def test_load_records_names_the_file_of_an_invariant_error(tmp_path):
+    from ranksig.ingest import load_records
+
+    path = tmp_path / "inv.csv"
+    path.write_text(HEADER + "\nA,CN,2015-2018,F,frac,100,150,1.5,,\n", encoding="utf-8")
+    with pytest.raises(InvariantViolation) as caught:
+        load_records(path)
+    exc = caught.value
+    assert exc.line_no == 2 and exc.reason.startswith(f"{path}: A: t_top10 must satisfy")
+    assert str(exc) == f"line 2: {exc.reason}"
+
+
 @given(st.lists(_records(), min_size=1, max_size=8, unique_by=lambda r: r.name))
 def test_select_records_identity_without_selector(records):
     assert select_records(records) == list(records)

@@ -50,7 +50,7 @@ def reference_graph(records, criterion, threshold, proportions):
 
 def new_graph(records, criterion, threshold, proportions):
     g = build_graph(records, criterion, threshold, proportions)
-    return [(n.name, n.z.hex()) for n in g.nodes], g.edges
+    return [(name, z.hex()) for name, z in zip(g.names, g.node_z.tolist())], g.edges
 
 
 def outcome(fn):

@@ -76,6 +76,19 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match=message):
             SignificanceGraph.from_scores([(n, 0.0) for n in "abc"], edges)
 
+    def test_nan_node_z_rejected(self):
+        # a NaN has no place in the (-z, name) order that ranks and tiers read
+        with pytest.raises(InvalidStatistic, match=r"^node 'b': z is NaN$"):
+            SignificanceGraph.from_scores([("a", 1.0), ("b", math.nan), ("c", 2.0), ("d", 3.0)])
+
+    def test_infinite_node_z_ranks_in_place(self):
+        g = SignificanceGraph.from_scores(
+            [("a", 1.0), ("b", math.inf), ("c", -math.inf), ("d", 3.0)])
+        assert g.node_z.tolist() == [1.0, math.inf, -math.inf, 3.0]
+        tables = rank_groups(g, weak_components(g))
+        assert [t.rows[0].name for t in tables] == ["b", "d", "a", "c"]
+        assert [t.rows[0].overall_rank for t in tables] == [1, 2, 3, 4]
+
     NAMES = ("a", "b", 'c "q"', "d, e", "é")
 
     @settings(max_examples=150, deadline=None)
@@ -107,7 +120,7 @@ class TestGraphValidation:
         built = build_graph([make_record(name=n, pp=0.1) for n in "cab"])
         assert built.edges is built.edges
         assert built == SignificanceGraph.from_scores(
-            [(n.name, n.z) for n in built.nodes], [(e.a, e.b, e.z) for e in built.edges])
+            zip(built.names, built.node_z.tolist()), [(e.a, e.b, e.z) for e in built.edges])
 
     def test_containment_either_way_is_strong(self):
         intervals = {"A": (0.08, 0.13), "B": (0.09, 0.125), "C": (0.07, 0.14),
@@ -122,16 +135,24 @@ class TestGraphValidation:
     def test_graph_is_immutable(self):
         g = SignificanceGraph.from_scores([("a", 1.0), ("b", 2.0)], [("a", "b")])
         with pytest.raises(AttributeError):
-            g.nodes = ()
+            g.names = ()
         with pytest.raises(ValueError):
             g.z[0] = 5.0
+        with pytest.raises(ValueError):
+            g.node_z[0] = 5.0
         with pytest.raises(AttributeError):
             del g.src
         with pytest.raises(AttributeError):
-            g.names = ()
+            g.node_z = np.zeros(2)
         with pytest.raises(AttributeError):
             g.edges = ()
-        assert g.names is g.names
+        # a writeable node_z is copied, so the caller's array stays its own
+        node_z = np.array([7.0, 8.0])
+        h = SignificanceGraph(g.names, node_z, g.src, g.dst, g.z, g.strong)
+        assert node_z.flags.writeable and h.node_z is not node_z
+        node_z[0] = 0.0
+        assert h.node_z.tolist() == [7.0, 8.0]
+        assert not h.node_z.flags.writeable
 
     def test_caller_arrays_stay_writeable(self):
         g = SignificanceGraph.from_scores([("a", 1.0), ("b", 2.0)], [("a", "b", 0.3)])
@@ -156,7 +177,7 @@ class TestBuildGraph:
 
     def test_single_record(self):
         g = build_graph([make_record(name="Solo U")])
-        assert len(g.nodes) == 1 and g.edges == ()
+        assert len(g.names) == 1 and g.edges == ()
 
     def test_identical_records_form_complete_graph(self):
         recs = [make_record(name=f"Twin {i}", p=1000.0, pp=0.1) for i in range(4)]
@@ -265,9 +286,7 @@ class TestModularity:
         g = SignificanceGraph.from_scores(
             [(n, 0.0) for n in names], itertools.combinations(names, 2)
         )
-        single = Grouping(
-            assignment={n: 0 for n in names}, group_order=(0,), isolates=frozenset()
-        )
+        single = Grouping(assignment={n: 0 for n in names}, isolates=frozenset())
         assert modularity(g, single) == pytest.approx(0.0, abs=1e-12)
         assert modularity(g, single, resolution=2.0) == pytest.approx(-1.0)
 
@@ -282,7 +301,6 @@ class TestModularity:
             g = random_graph(rng, max_nodes=20)
             singles = Grouping(
                 assignment={n: i for i, n in enumerate(g.names)},
-                group_order=tuple(range(len(g.names))),
                 isolates=frozenset(),
             )
             assert modularity(g, singles) <= 1e-12
@@ -294,7 +312,7 @@ class TestModularity:
 
     def test_uncovered_partition_rejected(self):
         g = SignificanceGraph.from_scores([("a", 1.0), ("b", 2.0)])
-        partial = Grouping(assignment={"a": 0}, group_order=(0,), isolates=frozenset())
+        partial = Grouping(assignment={"a": 0}, isolates=frozenset())
         with pytest.raises(ValueError, match="cover"):
             modularity(g, partial)
 
@@ -353,8 +371,7 @@ class TestCluster:
         first = cluster(g, seed=11)
         for _ in range(3):
             again = cluster(g, seed=11)
-            assert again.assignment == first.assignment
-            assert again.group_order == first.group_order
+            assert again == first
 
 
 def nx_modularity(g, grouping, resolution):
@@ -377,11 +394,8 @@ def partitions_of(g, rng):
     return [
         weak_components(g),
         cluster(g, seed=int(rng.integers(0, 100))),
-        Grouping(
-            assignment={n: i for i, n in enumerate(names)},
-            group_order=tuple(range(len(names))),
-        ),
-        Grouping(assignment=labels, group_order=tuple(sorted(set(labels.values())))),
+        Grouping(assignment={n: i for i, n in enumerate(names)}),
+        Grouping(assignment=labels),
     ]
 
 
@@ -412,9 +426,7 @@ class TestModularityOracle:
              if abs(a.z - b.z) < 1.0],
         )
         gid = {"top": 0, "middle": 1, "bottom": 2}
-        published = Grouping(
-            assignment={r.name: gid[r.tier] for r in tiers}, group_order=(0, 1, 2)
-        )
+        published = Grouping(assignment={r.name: gid[r.tier] for r in tiers})
         for grouping in (published, *partitions_of(g, np.random.default_rng(59))):
             for resolution in (0.5, 1.0, 2.0):
                 assert modularity(g, grouping, resolution) == pytest.approx(
@@ -448,9 +460,7 @@ class TestLouvainInvariants:
     @given(graphs(), st.integers(0, 2**32 - 1))
     def test_seed_determinism(self, g, seed):
         assert louvain_of(g, seed) == louvain_of(g, seed)
-        first, again = cluster(g, seed=seed), cluster(g, seed=seed)
-        assert again.assignment == first.assignment
-        assert again.group_order == first.group_order
+        assert cluster(g, seed=seed) == cluster(g, seed=seed)
 
     @settings(max_examples=200, deadline=None)
     @given(graphs(), st.integers(0, 2**32 - 1))
@@ -485,11 +495,7 @@ def make_grouping(components, node_z, isolates):
     for gid, comp in enumerate(ordered):
         for name in comp:
             assignment[name] = gid
-    return Grouping(
-        assignment=assignment,
-        group_order=tuple(range(len(ordered))),
-        isolates=isolates,
-    )
+    return Grouping(assignment=assignment, isolates=isolates)
 
 
 def dfs_components(g):
@@ -517,7 +523,7 @@ def dfs_components(g):
                     stack.append(m)
         components.append(comp)
     isolates = frozenset(name for k, name in enumerate(names) if not adjacency[k])
-    return make_grouping(components, g.node_z, isolates)
+    return make_grouping(components, dict(zip(g.names, g.node_z.tolist())), isolates)
 
 
 @st.composite
@@ -626,7 +632,7 @@ class TestGroupingBuilder:
             degree[e.b] += 1
         isolates = frozenset(name for name, d in degree.items() if not d)
         assert_same_grouping(_grouping(g, label),
-                             make_grouping(comps.values(), g.node_z, isolates))
+                             make_grouping(comps.values(), dict(zip(g.names, g.node_z.tolist())), isolates))
 
 
 class TestResolution:
@@ -755,7 +761,7 @@ def name_cluster(g, resolution, seed):
     for n, c in name_louvain(adj, resolution, seed).items():
         comps.setdefault(c, []).append(n)
     isolates = frozenset(n for n, ns in adj.items() if not ns)
-    louvain_grouping = make_grouping(comps.values(), g.node_z, isolates)
+    louvain_grouping = make_grouping(comps.values(), dict(zip(g.names, g.node_z.tolist())), isolates)
     weak = weak_components(g)
     if modularity(g, louvain_grouping, resolution) >= modularity(g, weak, resolution):
         return louvain_grouping
@@ -817,7 +823,7 @@ class TestRankGroups:
         ranks = sorted(r.overall_rank for t in tables for r in t.rows)
         assert ranks == [1, 2, 3]
 
-    def test_group_order_by_max_z_isolates_last(self):
+    def test_tiers_by_max_z_isolates_last(self):
         g = SignificanceGraph.from_scores(
             [("a", 5.0), ("b", 1.0), ("c", 0.5), ("big lone", 9.0)],
             [("a", "b"), ("b", "c")],
@@ -832,27 +838,32 @@ class TestRankGroups:
 
 @st.composite
 def groupings(draw):
-    """Any assignment and group_order: ids may repeat, be missing or name no member."""
+    """Any assignment: ids may repeat and skip values."""
     names = draw(st.lists(st.text(min_size=1, max_size=3), max_size=20, unique=True))
     ids = st.integers(0, 6)
     return Grouping(
         assignment={name: draw(ids) for name in names},
-        group_order=tuple(draw(st.lists(ids, max_size=10))),
         isolates=frozenset(draw(st.sets(st.sampled_from(names)))) if names else frozenset(),
     )
 
 
+def scan_members(grouping, gid):
+    """The names assigned ``gid``, in name order, from a scan of the assignment."""
+    return tuple(sorted(n for n, c in grouping.assignment.items() if c == gid))
+
+
 def members_rank_groups(g, grouping):
-    """rank_groups with one members() scan per group: the reference."""
-    zmap = g.node_z
+    """rank_groups with one assignment scan per group id, tables numbered by
+    position in ascending id order: the reference."""
+    zmap = dict(zip(g.names, g.node_z.tolist()))
     order = sorted(zmap, key=lambda n: (-zmap[n], n))
     overall = {name: i + 1 for i, name in enumerate(order)}
     tables = []
-    for gid in grouping.group_order:
-        members = sorted(grouping.members(gid), key=lambda n: (-zmap[n], n))
+    for position, gid in enumerate(sorted(set(grouping.assignment.values()))):
+        members = sorted(scan_members(grouping, gid), key=lambda n: (-zmap[n], n))
         rows = tuple(RankedRow(n, zmap[n], overall[n], i + 1) for i, n in enumerate(members))
         isolate = len(members) == 1 and members[0] in grouping.isolates
-        tables.append(GroupTable(group=gid, isolate=isolate, rows=rows))
+        tables.append(GroupTable(group=position, isolate=isolate, rows=rows))
     return tuple(tables)
 
 
@@ -862,7 +873,8 @@ class TestGroupsOnePass:
     @settings(max_examples=300, deadline=None)
     @given(groupings())
     def test_groups_equal_members(self, grouping):
-        assert grouping.groups() == tuple(grouping.members(g) for g in grouping.group_order)
+        ids = sorted(set(grouping.assignment.values()))
+        assert grouping.groups() == tuple(scan_members(grouping, gid) for gid in ids)
 
     def test_rank_groups_many_groups(self):
         rng = np.random.default_rng(3)
@@ -870,7 +882,6 @@ class TestGroupsOnePass:
         g = SignificanceGraph.from_scores([(n, float(rng.integers(-20, 20))) for n in names])
         grouping = Grouping(
             assignment={n: int(c) for n, c in zip(names, rng.integers(0, 2000, size=3000))},
-            group_order=tuple(rng.permutation(2000).tolist()),
             isolates=frozenset(names[::60]),
         )
         tables = rank_groups(g, grouping)
