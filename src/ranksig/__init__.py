@@ -28,8 +28,8 @@ _EXPORTS = {
     "stats": ("ALPHA_THRESHOLDS", "ContingencyTable", "Direction", "IntervalRelation",
               "RelationKind", "SignificanceLevel", "chi_square", "chi_square_level",
               "chi_square_terms", "ci_relation", "expected_table", "link_z", "pair_table",
-              "pooled_proportion", "significance_level", "standardized_residuals",
-              "threshold_for_alpha", "z_two_proportions", "z_vs_expectation"),
+              "significance_level", "standardized_residuals", "threshold_for_alpha",
+              "z_two_proportions", "z_vs_expectation"),
 }
 # public name -> the submodule that defines it (a submodule names itself)
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

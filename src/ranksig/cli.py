@@ -29,8 +29,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .errors import (
-    ConstantInput, DegeneratePoolWarning, DegenerateTable, DegenerateTableWarning,
-    DuplicateRecord, MalformedRow, MixedSlices, NoMatch, RanksigError, UnknownInstitution,
+    ConstantInput, DegeneratePoolWarning, DegenerateTable, DuplicateRecord, MalformedRow,
+    MixedSlices, NoMatch, RanksigError, UnknownInstitution,
 )
 from .export import GRAPH_FORMATS, csv_line
 
@@ -616,8 +616,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Warned once per pair or table: counted, then reported on one line per kind.
-_COUNTED_WARNINGS = (DegeneratePoolWarning, DegenerateTableWarning)
+# Warned once per pair: counted, then reported on one line per kind.
+_COUNTED_WARNINGS = (DegeneratePoolWarning,)
 
 
 def main(argv=None) -> int:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-from .errors import ConstantInput, DegenerateTable, LengthMismatch, NoOverlap
+from .errors import ConstantInput, LengthMismatch, NoOverlap
 from .ingest import InstitutionRecord
 from .stats import ContingencyTable, chi_square, z_vs_expectation
 
@@ -55,19 +55,13 @@ def crosstab(
 
 def cramers_v(ct: ContingencyTable) -> float:
     """Cramer's V = sqrt(chi2 / (N * (min(r, c) - 1))), in [0, 1]."""
-    n = ct.grand_total
     k = min(len(ct.rows), len(ct.cols))
-    if n <= 0 or k < 2:
-        raise DegenerateTable("Cramer's V needs N > 0 and at least a 2x2 table")
-    return math.sqrt(chi_square(ct) / (n * (k - 1)))
+    return math.sqrt(chi_square(ct) / (ct.grand_total * (k - 1)))
 
 
 def phi(ct: ContingencyTable) -> float:
     """phi = sqrt(chi2 / N); equals Cramer's V on 2x2 tables."""
-    n = ct.grand_total
-    if n <= 0:
-        raise DegenerateTable("phi needs N > 0")
-    return math.sqrt(chi_square(ct) / n)
+    return math.sqrt(chi_square(ct) / ct.grand_total)
 
 
 def _midranks(values: Sequence[float]) -> List[float]:

@@ -48,14 +48,6 @@ class DegenerateTable(RanksigError):
     """A contingency table is unusable for the requested statistic."""
 
 
-class EmptyPool(RanksigError):
-    """Pooled proportion requested over zero total observations."""
-
-
-class DegeneratePool(RanksigError):
-    """Pooled proportion is 0 or 1 but the two proportions differ."""
-
-
 class EmptyInstitution(RanksigError):
     """An institution with no publications cannot be tested."""
 
@@ -94,9 +86,5 @@ class MixedSlices(RanksigError):
 
 # --- warnings (conditions that are reported but do not stop computation) ---
 
-class DegenerateTableWarning(UserWarning):
-    """A zero margin makes part of an expected table zero."""
-
-
 class DegeneratePoolWarning(UserWarning):
-    """z defined as 0 for two identical degenerate proportions."""
+    """z defined as 0 over a pool whose variance is 0."""

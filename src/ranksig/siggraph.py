@@ -228,11 +228,16 @@ def build_graph(
 
     Every pair is tested in one vectorised pass, in row blocks of the
     name-ordered pair matrix, with the operation order of ``link_z``, so
-    each z is bit-equal to the scalar value. Pairs the scalar test treats
-    specially (pooled proportion 0 or 1, zero or non-finite intermediates)
-    go through ``link_z`` itself, in name order: it warns and returns 0
-    exactly as a pair-by-pair loop would.
+    each z is bit-equal to the scalar value. Pairs whose pooled variance is
+    0 (a pool of 0 or 1, or one that underflows) go through ``link_z``
+    itself, in name order: it warns and returns 0 exactly as a pair-by-pair
+    loop would. A positive se is at least sqrt(5e-324), so every other z is
+    finite.
     """
+    if not isinstance(criterion, Criterion):
+        raise InvalidStatistic(f"unknown criterion {criterion!r}")
+    if proportions not in ("stored", "exact"):
+        raise InvalidStatistic(f"unknown proportion mode {proportions!r}")
     recs = sorted(records, key=lambda r: r.name)
     names = tuple(r.name for r in recs)
     if len(set(names)) != len(recs):
@@ -248,8 +253,6 @@ def build_graph(
     parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0),
               np.empty(0, bool))]
     if n > 1:
-        if proportions not in ("stored", "exact"):
-            raise InvalidStatistic(f"unknown proportion mode {proportions!r}")
         t = np.array([r.t_top10 for r in recs], dtype=np.float64)
         p = np.array([r.p for r in recs], dtype=np.float64)
         inv_p = 1.0 / p
@@ -270,7 +273,7 @@ def build_graph(
                 pooled = (t[a, None] + t[None, b]) / (p[a, None] + p[None, b])
                 se = np.sqrt(pooled * (1.0 - pooled) * (inv_p[a, None] + inv_p[None, b]))
                 z = (share[a, None] - share[None, b]) / se
-                regular = (pooled > 0) & (pooled < 1) & (se > 0) & np.isfinite(z)
+                regular = se > 0
             for r, c in zip(*np.nonzero(upper & ~regular)):
                 z[r, c] = link_z(recs[i0 + r], recs[i0 + 1 + c], proportions)
             if criterion is Criterion.Z_TEST:

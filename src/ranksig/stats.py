@@ -22,12 +22,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .errors import (
-    DegeneratePool,
     DegeneratePoolWarning,
     DegenerateTable,
-    DegenerateTableWarning,
     EmptyInstitution,
-    EmptyPool,
     InvalidStatistic,
     MissingInterval,
     ZeroExpectedCell,
@@ -39,7 +36,7 @@ __all__ = [
     "SignificanceLevel", "ContingencyTable",
     "RelationKind", "Direction", "IntervalRelation",
     "expected_table", "chi_square_terms", "chi_square",
-    "standardized_residuals", "pooled_proportion", "z_two_proportions",
+    "standardized_residuals", "z_two_proportions",
     "z_vs_expectation", "significance_level", "chi_square_level",
     "ci_relation", "pair_table", "link_z",
 ]
@@ -128,9 +125,6 @@ class ContingencyTable:
     def grand_total(self) -> float:
         return math.fsum(math.fsum(row) for row in self.observed)
 
-    def cell(self, row_label: str, col_label: str) -> float:
-        return self.observed[self.rows.index(row_label)][self.cols.index(col_label)]
-
 
 class RelationKind(enum.Enum):
     DISJOINT = "disjoint"
@@ -162,18 +156,12 @@ def expected_table(obs: ContingencyTable) -> ContingencyTable:
     """Expected cell values under independence: row total * column total / grand total.
 
     Margins of the result equal the observed margins up to rounding. A zero
-    row or column total is reported with a DegenerateTableWarning (the
-    corresponding expected cells are zero) but the table is still returned.
+    row or column total makes the expected cells there zero; the statistics
+    that divide by them raise ZeroExpectedCell.
     """
     row_totals = obs.row_totals
     col_totals = obs.col_totals
     grand = obs.grand_total
-    if any(t == 0 for t in row_totals) or any(t == 0 for t in col_totals):
-        warnings.warn(
-            "table has a zero row or column total; expected cells there are zero",
-            DegenerateTableWarning,
-            stacklevel=2,
-        )
     cells = tuple(
         tuple(row_totals[i] * col_totals[j] / grand for j in range(len(obs.cols)))
         for i in range(len(obs.rows))
@@ -220,18 +208,6 @@ def standardized_residuals(obs: ContingencyTable) -> Tuple[Tuple[float, ...], ..
     return _cellwise(obs, lambda o, e: (o - e) / math.sqrt(e))
 
 
-def pooled_proportion(t1: float, n1: float, t2: float, n2: float) -> float:
-    """Combined success rate (t1 + t2) / (n1 + n2) of two samples."""
-    for t, n, which in ((t1, n1, "first"), (t2, n2, "second")):
-        if not (0 <= t <= n):
-            raise InvalidStatistic(
-                f"{which} sample needs 0 <= t <= n, got t={t}, n={n}"
-            )
-    if n1 + n2 <= 0:
-        raise EmptyPool("pooled proportion over zero total observations")
-    return (t1 + t2) / (n1 + n2)
-
-
 _DEGENERATE_ZERO = "identical proportions over a degenerate pool: z defined as 0"
 
 
@@ -244,10 +220,10 @@ def z_two_proportions(
     chooses the pooled proportion (stored shares or exact count ratios give
     slightly different values). Antisymmetric under swapping the samples.
 
-    When the pool is degenerate (pooled is 0 or 1) and p1 equals p2, the
-    two samples are identical all-top or all-bottom sets: z is defined as 0
-    and a DegeneratePoolWarning is emitted. Unequal proportions over a
-    degenerate pool raise DegeneratePool.
+    When the pooled variance is 0, no difference can be tested: z is 0 with
+    a DegeneratePoolWarning, whatever p1 and p2 are. That is a pool of 0 or
+    1 (neither sample has a success, or every trial of both is one), and a
+    pool so close to 0 or 1 that the variance underflows.
     """
     if any(math.isnan(v) for v in (p1, n1, p2, n2, pooled)):
         raise InvalidStatistic("z-test inputs must not be NaN")
@@ -255,15 +231,11 @@ def z_two_proportions(
         raise EmptyInstitution(f"sample sizes must be positive, got {n1}, {n2}")
     if not (0 <= pooled <= 1):
         raise InvalidStatistic(f"pooled proportion must lie in [0, 1], got {pooled}")
-    if pooled in (0.0, 1.0):
-        if p1 == p2:
-            warnings.warn(_DEGENERATE_ZERO, DegeneratePoolWarning, stacklevel=2)
-            return 0.0
-        raise DegeneratePool(
-            f"pooled proportion is {pooled:g} but the proportions differ "
-            f"({p1} vs {p2})"
-        )
     se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
+    # NaN here is a pool of 0 or 1 times the inf of an overflowing 1/n
+    if not se > 0:
+        warnings.warn(_DEGENERATE_ZERO, DegeneratePoolWarning, stacklevel=2)
+        return 0.0
     return (p1 - p2) / se
 
 
@@ -397,14 +369,13 @@ def link_z(
 
     ``proportions="stored"`` feeds the published pp_top10 shares into the
     test; ``"exact"`` uses the t/p count ratios. Both pool via
-    (t1 + t2) / (n1 + n2). Only the exact mode satisfies z^2 = chi-square
-    of the 2x2 count table.
+    (t1 + t2) / (n1 + n2) and go through ``z_two_proportions``. Only the
+    exact mode satisfies z^2 = chi-square of the 2x2 count table.
 
-    A pooled proportion of 0 or 1 means that neither institution has a
-    top-10% paper, or that every paper of both is one, at least up to
-    rounding. In either mode z is then 0 with a DegeneratePoolWarning,
-    whatever the stored shares or the count ratios say: the pooled
-    variance is 0, so no difference can be tested.
+    A pool of 0 or 1 means that neither institution has a top-10% paper, or
+    that every paper of both is one, at least up to rounding. In either mode
+    z is then 0 with a DegeneratePoolWarning, whatever the stored shares or
+    the count ratios say, as for any pool whose variance is 0.
     """
     if proportions not in ("stored", "exact"):
         raise InvalidStatistic(f"unknown proportion mode {proportions!r}")
@@ -412,10 +383,7 @@ def link_z(
         raise EmptyInstitution(f"{a.name}: institution has no publications")
     if b.p <= 0:
         raise EmptyInstitution(f"{b.name}: institution has no publications")
-    pooled = pooled_proportion(a.t_top10, a.p, b.t_top10, b.p)
-    if pooled in (0.0, 1.0):
-        warnings.warn(_DEGENERATE_ZERO, DegeneratePoolWarning, stacklevel=2)
-        return 0.0
+    pooled = (a.t_top10 + b.t_top10) / (a.p + b.p)
     if proportions == "exact":
         p1, p2 = a.t_top10 / a.p, b.t_top10 / b.p
     else:

@@ -758,7 +758,7 @@ PUBLIC_NAMES = sorted("""
     StabilityInterval bootstrap_interval build_graph chi_square chi_square_level
     chi_square_terms ci_relation cluster compare cramers_v crosstab data decompose_change
     dump_records dynamics errors expected_table export ingest link_z load_records modularity
-    pair_table parse_records phi pooled_proportion rank_groups render_graph
+    pair_table parse_records phi rank_groups render_graph
     scores_by_category select_records siggraph significance_level spearman
     standardized_residuals stats threshold_for_alpha weak_components write_graph
     z_distribution_series z_two_proportions z_vs_expectation
@@ -836,9 +836,30 @@ class TestPublicSurface:
         exported = {name for names in ranksig._EXPORTS.values() for name in names}
         assert sorted(exported - read) == []
 
+    def test_every_error_class_is_raised(self):
+        """An exception or warning class of errors.py that no other module of
+        the package raises (``raise X(``) or warns (``warn(..., X``) is dead."""
+        src = Path(__file__).resolve().parents[1] / "src" / "ranksig"
+        defined = {node.name for node in ast.parse((src / "errors.py").read_text("utf-8")).body
+                   if isinstance(node, ast.ClassDef)}
+
+        def name(node):
+            return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+        used = set()
+        for path in src.glob("*.py"):
+            if path.name == "errors.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                    used.add(name(node.exc.func))
+                elif isinstance(node, ast.Call) and name(node.func) == "warn":
+                    used.update(name(arg) for arg in node.args[1:])
+        assert defined and sorted(defined - used) == []
+
 
 class TestCountedWarnings:
-    """Degenerate pairs and tables are counted on one stderr line per kind."""
+    """Degenerate pairs are counted on one stderr line per kind."""
 
     @pytest.fixture
     def degenerate(self, tmp_path):
@@ -947,7 +968,8 @@ class TestBenchTracerHooks:
 
 
 class TestDegeneratePool:
-    """A pair whose pooled proportion is 0 or 1 gets z 0 and a counted warning."""
+    """A pair whose pooled variance is 0 (a pool of 0 or 1, or one that underflows)
+    gets z 0 and a counted warning."""
 
     WARNING = ("ranksig: warning: {} x DegeneratePoolWarning: identical proportions "
                "over a degenerate pool: z defined as 0\n")
@@ -994,6 +1016,20 @@ class TestDegeneratePool:
             assert code == 2 and "puts all 5 institutions in one tier" in err
         else:
             assert code == 0
+
+    def test_pool_whose_variance_underflows(self, capsys, tmp_path, monkeypatch):
+        # A and B pool to 5e-324, whose variance rounds to 0
+        (tmp_path / "x.csv").write_text(
+            "name,country,period,field,counting,p,t_top10,pp_top10\n"
+            "A,CN,2020,All,frac,10,1e-322,0\n"
+            "B,CN,2020,All,frac,10,0,0\n"
+            "C,CN,2020,All,frac,50,5,0.1\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        for argv, count in ((("pairwise", "A", "B"), 2), (("group",), 1), (("export",), 1)):
+            code, _, err = run(capsys, *argv, "--input", "x.csv")
+            assert code == 0
+            assert err.endswith(self.WARNING.format(count))
+            assert err.count("ranksig: warning:") == 1
 
     def test_pool_that_rounds_to_1(self, capsys, tmp_path, monkeypatch):
         # A and B pool to 1.0 while B's t / p stays below 1

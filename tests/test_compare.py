@@ -40,7 +40,7 @@ class TestCrosstab:
         country, tier = country_tier_labels()
         ct = crosstab(country, tier)
         assert ct.grand_total == 402
-        get = lambda r, c: ct.cell(r, c)
+        get = lambda r, c: ct.observed[ct.rows.index(r)][ct.cols.index(c)]
         assert [get("China", t) for t in ("low", "middle", "high", "isolate")] == [
             116, 67, 21, 1,
         ]

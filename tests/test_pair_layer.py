@@ -117,12 +117,38 @@ def test_vectorised_pass_matches_pair_loop(recs, criterion, proportions, thresho
     assert got == expected
 
 
-def test_unknown_proportion_mode_raises_only_with_pairs():
-    one = [make_record(name="Solo")]
-    assert build_graph(one, proportions="bogus").edges == ()
-    two = one + [make_record(name="Duo")]
+@pytest.mark.parametrize("count", [0, 1, 2])
+def test_unknown_proportion_mode_raises(count):
+    recs = [make_record(name=f"u{i}") for i in range(count)]
     with pytest.raises(InvalidStatistic, match="unknown proportion mode 'bogus'"):
-        build_graph(two, proportions="bogus")
+        build_graph(recs, proportions="bogus")
+
+
+@pytest.mark.parametrize("criterion", ["ci", "ztest", None])
+def test_criterion_that_is_not_a_criterion_raises(criterion):
+    recs = [make_record(name="A", ci=(0.1, 0.2)), make_record(name="B", ci=(0.1, 0.2))]
+    with pytest.raises(InvalidStatistic, match="unknown criterion"):
+        build_graph(recs, criterion=criterion)
+
+
+@pytest.mark.parametrize("proportions", ["stored", "exact"])
+def test_zero_variance_pairs_match_the_pair_loop(proportions):
+    # pool 0 (A, B), pool 1 (C, D), a pool that rounds to 1 (C, E) and a
+    # positive pool whose variance underflows (A, F), among regular pairs
+    recs = [make_record(name="A", p=10.0, t=0.0, pp=0.0),
+            make_record(name="B", p=10.0, t=0.0, pp=0.04),
+            make_record(name="C", p=10.0, t=10.0, pp=1.0),
+            make_record(name="D", p=10.0, t=10.0, pp=0.97),
+            make_record(name="E", p=10.0, t=math.nextafter(10.0, 0.0), pp=1.0),
+            make_record(name="F", p=10.0, t=1e-322, pp=0.0),
+            make_record(name="G", p=50.0, t=5.0, pp=0.1),
+            make_record(name="H", p=80.0, t=20.0, pp=0.25)]
+    for threshold in (2.576, math.inf):
+        expected = outcome(
+            lambda: reference_graph(recs, Criterion.Z_TEST, threshold, proportions))
+        got = outcome(lambda: new_graph(recs, Criterion.Z_TEST, threshold, proportions))
+        assert got == expected
+        assert got[0][0] != "raised" and got[1] >= 4
 
 
 def test_regular_pairs_never_reach_the_scalar_test():

@@ -6,12 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ranksig.errors import (
-    DegeneratePool,
     DegeneratePoolWarning,
     DegenerateTable,
-    DegenerateTableWarning,
     EmptyInstitution,
-    EmptyPool,
     InvalidStatistic,
     MissingInterval,
     ZeroExpectedCell,
@@ -28,7 +25,6 @@ from ranksig.stats import (
     expected_table,
     link_z,
     pair_table,
-    pooled_proportion,
     significance_level,
     standardized_residuals,
     z_two_proportions,
@@ -92,9 +88,10 @@ class TestExpectedTable:
             for got, want in zip(exp.col_totals, t.col_totals):
                 assert got == pytest.approx(want, rel=1e-9)
 
-    def test_zero_margin_warns_but_returns(self):
+    def test_zero_margin_gives_zero_cells(self):
         t = table([[0, 0], [3, 4]])
-        with pytest.warns(DegenerateTableWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             exp = expected_table(t)
         assert exp.observed[0] == (0.0, 0.0)
 
@@ -132,10 +129,9 @@ class TestChiSquare:
             )
 
     def test_zero_expected_cell_named(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateTableWarning)
+        for statistic in (chi_square, chi_square_terms, standardized_residuals):
             with pytest.raises(ZeroExpectedCell, match="c0"):
-                chi_square(table([[0, 5], [0, 7]]))
+                statistic(table([[0, 5], [0, 7]]))
 
     def test_scale_property(self):
         rng = np.random.default_rng(3)
@@ -178,28 +174,22 @@ class TestResiduals:
 
 
 class TestPooledProportion:
+    """link_z pools the two records as (t1 + t2) / (n1 + n2)."""
+
     def test_worked_example(self):
-        assert pooled_proportion(2738, 19902, 2604, 23510) == pytest.approx(
-            0.123054, abs=1e-6
+        a = make_record(name="A", p=19902.0, t=2738.0, pp=0.138)
+        b = make_record(name="B", p=23510.0, t=2604.0, pp=0.111)
+        assert 5342 / 43412 == pytest.approx(0.123054, abs=1e-6)
+        assert link_z(a, b, "exact") == z_two_proportions(
+            2738 / 19902, 19902, 2604 / 23510, 23510, 5342 / 43412
         )
+        assert link_z(a, b) == z_two_proportions(0.138, 19902, 0.111, 23510, 5342 / 43412)
 
     def test_trivial_values(self):
-        assert pooled_proportion(0, 10, 0, 10) == 0.0
-        assert pooled_proportion(5, 10, 5, 10) == 0.5
-
-    @given(
-        st.floats(0.0, 1.0), st.floats(1.0, 1e6),
-        st.floats(0.0, 1.0), st.floats(1.0, 1e6),
-    )
-    def test_lies_between_the_proportions(self, f1, n1, f2, n2):
-        t1, t2 = f1 * n1, f2 * n2
-        pooled = pooled_proportion(t1, n1, t2, n2)
-        p1, p2 = t1 / n1, t2 / n2
-        assert min(p1, p2) - 1e-12 <= pooled <= max(p1, p2) + 1e-12
-
-    def test_empty_pool(self):
-        with pytest.raises(EmptyPool):
-            pooled_proportion(0, 0, 0, 0)
+        half = make_record(name="H", p=10.0, t=5.0, pp=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert link_z(half, half) == 0.0
 
 
 class TestZTwoProportions:
@@ -232,9 +222,17 @@ class TestZTwoProportions:
         with pytest.warns(DegeneratePoolWarning):
             assert z_two_proportions(1.0, 10, 1.0, 20, 1.0) == 0.0
 
-    def test_degenerate_pool_unequal_proportions_raises(self):
-        with pytest.raises(DegeneratePool):
-            z_two_proportions(0.1, 10, 0.0, 20, 0.0)
+    def test_degenerate_pool_unequal_proportions_gives_zero(self):
+        with pytest.warns(DegeneratePoolWarning):
+            assert z_two_proportions(0.1, 10, 0.0, 20, 0.0) == 0.0
+        with pytest.warns(DegeneratePoolWarning):
+            assert z_two_proportions(0.9, 10, 1.0, 20, 1.0) == 0.0
+
+    @pytest.mark.parametrize("pooled", [5e-324, 1e-323])
+    def test_underflowing_variance_gives_zero(self, pooled):
+        # 0 < pooled < 1, but pooled * (1 - pooled) * (1/10 + 1/10) rounds to 0
+        with pytest.warns(DegeneratePoolWarning):
+            assert z_two_proportions(1e-322, 10, 0.0, 10, pooled) == 0.0
 
     def test_nan_rejected(self):
         with pytest.raises(InvalidStatistic):
@@ -253,6 +251,14 @@ class TestLinkZDegeneratePool:
                              ids=["pool-0", "pool-1"])
     def test_zero_with_warning(self, proportions, t, shares):
         a, b = (make_record(name=name, p=10.0, t=t, pp=pp) for name, pp in zip("DE", shares))
+        with pytest.warns(DegeneratePoolWarning):
+            assert link_z(a, b, proportions) == 0.0
+
+    @pytest.mark.parametrize("proportions", ["stored", "exact"])
+    def test_pool_whose_variance_underflows_gives_zero(self, proportions):
+        # the pool 1e-322 / 20 is positive, its variance rounds to 0
+        a = make_record(name="A", p=10.0, t=1e-322, pp=0.0)
+        b = make_record(name="B", p=10.0, t=0.0, pp=0.0)
         with pytest.warns(DegeneratePoolWarning):
             assert link_z(a, b, proportions) == 0.0
 
