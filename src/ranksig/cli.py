@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import io
 import os
 import sys
 import warnings
@@ -29,32 +28,31 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .errors import (
-    ConstantInput, DegeneratePoolWarning, DegenerateTable, DuplicateRecord, MalformedRow,
-    MixedSlices, NoMatch, RanksigError, UnknownInstitution,
+    ConstantInput, DegeneratePoolWarning, DegenerateTable, MixedSlices, NoMatch,
+    RanksigError, UnknownInstitution, ZeroExpectedCell,
 )
 from .export import GRAPH_FORMATS, csv_line
 
 if TYPE_CHECKING:
     from .ingest import InstitutionRecord
-    from .siggraph import Grouping, SignificanceGraph
+    from .siggraph import SignificanceGraph
 
 __all__ = ["main"]
 
-# Library functions the commands call, imported on first use. A wrapper set
-# on one of these attributes before a command runs is what the command calls
-# (bench/spans.py traces them so, parse_records and render_graph included).
-_LIBRARY = {
-    "load_records": "ingest", "parse_records": "ingest", "select_records": "ingest",
-    "build_graph": "siggraph", "cluster": "siggraph", "rank_groups": "siggraph",
-    "weak_components": "siggraph", "render_graph": "export", "write_graph": "export",
-}
+# Library functions the commands call, read from the package on first use. A
+# wrapper set on one of these attributes before a command runs is what the
+# command calls (bench/spans.py traces them so, parse_records and render_graph
+# included).
+_LIBRARY = frozenset({
+    "load_records", "parse_records", "select_records", "build_graph", "cluster",
+    "rank_groups", "weak_components", "render_graph", "write_graph",
+})
 
 
 def __getattr__(name):
     if name not in _LIBRARY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{_LIBRARY[name]}", __package__)
-    return globals().setdefault(name, getattr(module, name))
+    return globals().setdefault(name, getattr(importlib.import_module(__package__), name))
 
 
 def _bind(*names: str) -> None:
@@ -155,63 +153,34 @@ def _graph_for(args, records, criterion_token: str) -> SignificanceGraph:
     )
 
 
-def _tiers(grouping: Grouping) -> Tuple[Dict[str, str], Dict[str, int]]:
-    """Tier label and ordinal of each name: tier1..tierK and 1..K for the
-    regular groups in order, isolate and K + 1 for the isolates (listed last)."""
+def _tiers(graph: SignificanceGraph) -> Tuple[Dict[str, str], Dict[str, int]]:
+    """Tier label and ordinal of each name in the ranked weak components of
+    ``graph``: tier1..tierK and 1..K for the regular tiers, isolate and K + 1
+    for the isolates."""
+    _bind("weak_components", "rank_groups")
+    tables = rank_groups(graph, weak_components(graph))
+    k = sum(not t.isolate for t in tables)
     labels: Dict[str, str] = {}
     ordinals: Dict[str, int] = {}
-    tier = 0
-    for members in grouping.groups():
-        if len(members) == 1 and members[0] in grouping.isolates:
-            labels[members[0]], ordinals[members[0]] = "isolate", tier + 1
-        else:
-            tier += 1
-            for name in members:
-                labels[name], ordinals[name] = f"tier{tier}", tier
+    for t in tables:
+        label, ordinal = ("isolate", k + 1) if t.isolate else (f"tier{t.group + 1}", t.group + 1)
+        for row in t.rows:
+            labels[row.name], ordinals[row.name] = label, ordinal
     return labels, ordinals
-
-
-def _read_labels(path: str) -> Dict[str, str]:
-    """name -> category map from a two-column CSV with a header row, read as records are.
-
-    A MalformedRow names the file, as ``load_records`` does.
-    """
-    from .ingest import _as_text, _rows
-    labels: Dict[str, str] = {}
-    try:
-        with open(path, "rb") as fh:
-            rows = _rows(io.StringIO(_as_text(fh), newline=""), 0)
-        if next(rows, None) is None:
-            raise MalformedRow(1, "empty labels file")
-        for line_no, row in rows:
-            if not row or not "".join(row).strip():
-                continue
-            if len(row) < 2:
-                raise MalformedRow(line_no, "need name and category columns")
-            name, category = row[0].strip(), row[1].strip()
-            if name in labels and labels[name] != category:
-                raise DuplicateRecord(f"{path}: conflicting categories for {name!r}")
-            labels.setdefault(name, category)
-        if not labels:
-            raise MalformedRow(1, "no label rows")
-    except MalformedRow as exc:
-        raise MalformedRow(exc.line_no, f"{path}: {exc.reason}") from None
-    return labels
 
 
 # ---------------------------------------------------------------- pairwise
 
-def _matrix_grid(title_col: str, table, matrix, margins: bool) -> str:
+def _matrix_grid(title_col: str, table, matrix=None) -> str:
+    """``matrix`` under the labels of ``table``; without one, the table's own
+    cells and margins."""
+    margins = matrix is None
     rows = [[title_col, *table.cols] + (["total"] if margins else [])]
-    for i, label in enumerate(table.rows):
-        cells = [f"{x:.2f}" for x in matrix[i]]
-        if margins:
-            cells.append(f"{sum(matrix[i]):.2f}")
-        rows.append([label, *cells])
     if margins:
-        col_totals = [sum(m[j] for m in matrix) for j in range(len(table.cols))]
-        grand = sum(col_totals)
-        rows.append(["total", *[f"{t:.2f}" for t in col_totals], f"{grand:.2f}"])
+        matrix = [(*cells, total) for cells, total in zip(table.observed, table.row_totals)]
+    rows += [[label, *(f"{x:.2f}" for x in cells)] for label, cells in zip(table.rows, matrix)]
+    if margins:
+        rows.append(["total", *(f"{x:.2f}" for x in (*table.col_totals, table.grand_total))])
     return _grid(rows)
 
 
@@ -226,27 +195,27 @@ def cmd_pairwise(args) -> int:
     z_stored = stats.link_z(a, b, "stored")
     z_exact = stats.link_z(a, b, "exact")
     table = stats.pair_table(a, b)
-    # a zero column total (no top-10% papers, or only those, on both sides)
-    # leaves expected cells of zero: chi-square is undefined, z is defined as
-    # 0 as in group
-    if 0 in table.col_totals:
-        chi_part = ["chi-square test undefined: a row or column total is zero"]
-    else:
-        expected = stats.expected_table(table)
+    # an expected count of zero (no top-10% papers, or only those, on both
+    # sides, or too few to survive rounding) leaves chi-square undefined; z
+    # is defined as 0 as in group
+    try:
         terms = stats.chi_square_terms(table)
         chi2 = stats.chi_square(table)
         resid = stats.standardized_residuals(table)
+    except ZeroExpectedCell:
+        chi_part = ["chi-square test undefined: a row or column total is zero"]
+    else:
         chi_level = stats.chi_square_level(chi2, (len(table.rows) - 1) * (len(table.cols) - 1))
         chi_part = [
             bold("Expected counts"),
-            _matrix_grid("expected", table, expected.observed, margins=True),
+            _matrix_grid("expected", stats.expected_table(table)),
             "",
             bold("Chi-square contributions"),
-            _matrix_grid("chi2 term", table, terms, margins=False),
+            _matrix_grid("chi2 term", table, terms),
             f"chi-square = {chi2:.2f}  {chi_level.stars} ({chi_level.label})",
             "",
             bold("Standardized residuals"),
-            _matrix_grid("residual", table, resid, margins=False),
+            _matrix_grid("residual", table, resid),
         ]
 
     parts = [
@@ -254,7 +223,7 @@ def cmd_pairwise(args) -> int:
         f"period={a.period}  field={a.field}  counting={a.counting.value}",
         "",
         bold("Observed counts"),
-        _matrix_grid("observed", table, table.observed, margins=True),
+        _matrix_grid("observed", table),
         "",
         *chi_part,
         "",
@@ -383,23 +352,22 @@ def _compare_report(sides, ordinals, heading, bold) -> str:
     v = cmp_mod.cramers_v(ct)
     ph = cmp_mod.phi(ct)
 
-    if ordinals is not None:
-        xs = [float(ordinals[0][n]) for n in shared]
-        ys = [float(ordinals[1][n]) for n in shared]
+    # only tiers are ordered: category codes would tie rho to the names
+    if ordinals is None:
+        rho = "n/a (unordered categories)"
     else:
-        xs = [float(ct.rows.index(label_a[n])) for n in shared]
-        ys = [float(ct.cols.index(label_b[n])) for n in shared]
-    try:
-        rho = f"{cmp_mod.spearman(xs, ys):.3f}"
-    except ConstantInput:
-        rho = "n/a (constant labeling)"
+        xs, ys = ([float(side[n]) for n in shared] for side in ordinals)
+        try:
+            rho = f"{cmp_mod.spearman(xs, ys):.3f}"
+        except ConstantInput:
+            rho = "n/a (constant labeling)"
 
     parts = [
         bold(heading),
         f"{len(shared)} shared institutions",
         "",
         bold("Cross-tabulation"),
-        _matrix_grid("counts", ct, ct.observed, margins=True),
+        _matrix_grid("counts", ct),
         "",
         f"chi-square = {chi2:.2f} (dof = {dof})  {level.stars} ({level.label})",
         f"Cramer's V = {v:.3f}",
@@ -409,48 +377,47 @@ def _compare_report(sides, ordinals, heading, bold) -> str:
     return "\n".join(parts) + "\n"
 
 
+# compare's flags that read records; a comparison of two label files reads none
+_RECORD_FLAGS = ("split_by_country", "input", "period", "field", "counting", "countries")
+
+
 def cmd_compare(args) -> int:
-    bold = _styler(plain=bool(args.out))
+    ordinals = None
     if args.labels_a or args.labels_b:
         if not (args.labels_a and args.labels_b):
             raise RanksigError("--labels-a and --labels-b must be given together")
+        unread = ["--" + dest.replace("_", "-") for dest in _RECORD_FLAGS if getattr(args, dest)]
+        if unread:
+            raise RanksigError(f"--labels-a and --labels-b compare two label files; "
+                               f"they do not read {', '.join(unread)}")
+        from .ingest import load_labels
         sides = [
-            (_read_labels(path), f"{flag} {path}", "category", "give it two or more")
+            (load_labels(path), f"{flag} {path}", "category", "give it two or more")
             for flag, path in (("--labels-a", args.labels_a), ("--labels-b", args.labels_b))
         ]
-        report = _compare_report(
-            sides, None, f"Association: {args.labels_a} vs {args.labels_b}", bold,
-        )
+        heading = f"Association: {args.labels_a} vs {args.labels_b}"
     elif args.split_by_country:
         records = _load_records(args)
-        _bind("weak_components")
-        tiers, _ = _tiers(weak_components(_graph_for(args, records, args.criterion)))
-        countries = {r.name: r.country for r in records}
+        tiers, _ = _tiers(_graph_for(args, records, args.criterion))
         sides = [
-            (countries, "the country labelling", "country",
+            ({r.name: r.country for r in records}, "the country labelling", "country",
              "--split-by-country needs records from two or more countries"),
             (tiers, *_tier_side("--criterion", args.criterion)),
         ]
-        report = _compare_report(
-            sides, None, f"Association: country vs {args.criterion} tiers", bold,
-        )
+        heading = f"Association: country vs {args.criterion} tiers"
     else:
         records = _load_records(args)
-        _bind("weak_components")
         (tiers_a, ordinals_a), (tiers_b, ordinals_b) = (
-            _tiers(weak_components(_graph_for(args, records, token)))
+            _tiers(_graph_for(args, records, token))
             for token in (args.criterion, args.criterion_b)
         )
         sides = [
             (tiers_a, *_tier_side("--criterion", args.criterion)),
             (tiers_b, *_tier_side("--criterion-b", args.criterion_b)),
         ]
-        report = _compare_report(
-            sides,
-            (ordinals_a, ordinals_b),
-            f"Association: {args.criterion} tiers vs {args.criterion_b} tiers", bold,
-        )
-    _emit(report, args.out)
+        ordinals = (ordinals_a, ordinals_b)
+        heading = f"Association: {args.criterion} tiers vs {args.criterion_b} tiers"
+    _emit(_compare_report(sides, ordinals, heading, _styler(plain=bool(args.out))), args.out)
     return 0
 
 

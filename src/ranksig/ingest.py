@@ -42,6 +42,7 @@ __all__ = [
     "DatasetSelector",
     "parse_records",
     "load_records",
+    "load_labels",
     "select_records",
     "dump_records",
     "MAX_COUNT",
@@ -381,13 +382,42 @@ def select_records(
     return out
 
 
-def load_records(path) -> list:
-    """parse_records over a file path; an error located at a row names the file."""
+def _read_file(path, parse):
+    """``parse`` over the open file at ``path``; an error located at a row names the file."""
     with open(path, "rb") as fh:
         try:
-            return parse_records(fh)
+            return parse(fh)
         except (MalformedRow, InvariantViolation) as exc:
             raise type(exc)(line_no=exc.line_no, reason=f"{path}: {exc.reason}") from None
+
+
+def load_records(path) -> list:
+    """parse_records over a file path; an error located at a row names the file."""
+    return _read_file(path, parse_records)
+
+
+def load_labels(path) -> dict:
+    """name -> category map from a CSV of name and category columns under a
+    header row, read as records are: blank rows are skipped, an error located
+    at a row names the file, and a name given two categories raises
+    DuplicateRecord."""
+    def parse(fh) -> dict:
+        rows = _rows(io.StringIO(_as_text(fh), newline=""), 0)
+        if next(rows, None) is None:
+            raise MalformedRow(1, "empty labels file")
+        labels: dict = {}
+        for line_no, row in rows:
+            if not "".join(row).strip():
+                continue
+            if len(row) < 2:
+                raise MalformedRow(line_no, "need name and category columns")
+            name, category = row[0].strip(), row[1].strip()
+            if labels.setdefault(name, category) != category:
+                raise DuplicateRecord(f"{path}: conflicting categories for {name!r}")
+        if not labels:
+            raise MalformedRow(1, "no label rows")
+        return labels
+    return _read_file(path, parse)
 
 
 def _fmt(value: Optional[float]) -> str:

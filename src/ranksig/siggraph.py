@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DuplicateRecord, InvalidStatistic, MissingInterval
+from .errors import DuplicateRecord, InvalidStatistic
 from .ingest import InstitutionRecord
 from .stats import (
     Z_P01,
@@ -245,9 +245,8 @@ def build_graph(
     node_z = np.array([z_vs_expectation(r) for r in recs], dtype=np.float64)
 
     if criterion is Criterion.CI_OVERLAP:
-        for r in recs:
-            if not r.has_interval:
-                raise MissingInterval(f"{r.name}: record has no stability interval")
+        # every record needs its interval, paired or not
+        lo, hi = np.array([r.interval() for r in recs], dtype=np.float64).reshape(-1, 2).T
 
     n = len(recs)
     parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0),
@@ -260,9 +259,6 @@ def build_graph(
             share = t / p
         else:
             share = np.array([r.pp_top10 for r in recs], dtype=np.float64)
-        if criterion is Criterion.CI_OVERLAP:
-            lo = np.array([r.ci_lower for r in recs], dtype=np.float64)
-            hi = np.array([r.ci_upper for r in recs], dtype=np.float64)
         rows = max(1, _BLOCK_CELLS // n)
         # block rows i0..i1-1 against columns i0+1..n-1; keep cells with j > i
         for i0 in range(0, n - 1, rows):

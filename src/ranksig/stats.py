@@ -208,7 +208,7 @@ def standardized_residuals(obs: ContingencyTable) -> Tuple[Tuple[float, ...], ..
     return _cellwise(obs, lambda o, e: (o - e) / math.sqrt(e))
 
 
-_DEGENERATE_ZERO = "identical proportions over a degenerate pool: z defined as 0"
+_DEGENERATE_ZERO = "pooled variance is 0: z defined as 0"
 
 
 def z_two_proportions(

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import pty
+import random
 import re
 import subprocess
 import sys
@@ -133,25 +134,46 @@ class TestGroup:
         assert "Tsinghua University" in out_file.read_text()
 
 
+# (nation, level) of each institution of a two-nation edition, in name order
+TWO_NATIONS = [
+    (nation, level)
+    for (nation, level), n in {
+        ("China", "low"): 116, ("China", "middle"): 67,
+        ("China", "high"): 21, ("China", "isolate"): 1,
+        ("USA", "low"): 36, ("USA", "middle"): 60,
+        ("USA", "high"): 99, ("USA", "isolate"): 2,
+    }.items()
+    for _ in range(n)
+]
+
+
+def _two_nation_labels(tmp_path, names):
+    """country.csv and tier.csv labelling ``names`` as TWO_NATIONS does."""
+    country_file = tmp_path / "country.csv"
+    tier_file = tmp_path / "tier.csv"
+    for path, column in ((country_file, 0), (tier_file, 1)):
+        path.write_text("name,category\n" + "".join(
+            f"{name},{labels[column]}\n" for name, labels in zip(names, TWO_NATIONS)))
+    return country_file, tier_file
+
+
+def _compare_facts(out):
+    """A compare report with its cross-tabulation read as {(row, column): count}.
+
+    Which category is listed first follows the institution names; the
+    counts and the statistics must not."""
+    lines = out.splitlines()
+    start = lines.index("Cross-tabulation") + 1
+    end = lines.index("", start)
+    header, *rows = (line.split() for line in lines[start:end])
+    cells = {(row[0], col): n for row in rows for col, n in zip(header[1:], row[1:])}
+    return lines[:start], cells, lines[end:]
+
+
 class TestCompare:
     def test_two_nation_labels(self, capsys, tmp_path):
-        country_file = tmp_path / "country.csv"
-        tier_file = tmp_path / "tier.csv"
-        counts = {
-            ("China", "low"): 116, ("China", "middle"): 67,
-            ("China", "high"): 21, ("China", "isolate"): 1,
-            ("USA", "low"): 36, ("USA", "middle"): 60,
-            ("USA", "high"): 99, ("USA", "isolate"): 2,
-        }
-        c_rows, t_rows = ["name,category"], ["name,category"]
-        i = 0
-        for (nation, level), n in counts.items():
-            for _ in range(n):
-                c_rows.append(f"inst{i:03d},{nation}")
-                t_rows.append(f"inst{i:03d},{level}")
-                i += 1
-        country_file.write_text("\n".join(c_rows) + "\n")
-        tier_file.write_text("\n".join(t_rows) + "\n")
+        country_file, tier_file = _two_nation_labels(
+            tmp_path, [f"inst{i:03d}" for i in range(len(TWO_NATIONS))])
 
         code, out, _ = run(
             capsys, "compare",
@@ -219,6 +241,43 @@ class TestCompare:
         assert code == 0
         assert "country" in out
         assert "Cramer's V = 1.000" in out  # tiers align perfectly with countries
+
+    def test_labels_report_does_not_depend_on_names(self, capsys, tmp_path):
+        names = [f"inst{i:03d}" for i in range(len(TWO_NATIONS))]
+        reports = []
+        for _ in range(2):
+            country_file, tier_file = _two_nation_labels(tmp_path, names)
+            code, out, _ = run(capsys, "compare", "--labels-a", str(country_file),
+                               "--labels-b", str(tier_file))
+            assert code == 0
+            reports.append(_compare_facts(out))
+            random.Random(1).shuffle(names)
+        assert reports[0] == reports[1]
+        assert reports[0][2][-1] == "Spearman   = n/a (unordered categories)"
+
+    @pytest.mark.parametrize("argv", [(), ("--split-by-country",)], ids=["tiers", "country"])
+    def test_records_report_does_not_depend_on_names(self, capsys, tmp_path, argv):
+        # four z tiers of three; the top two share one interval tier
+        countries = "CN CN US CN US DE US DE DE US CN DE".split()
+        names = [f"U{k:02d}" for k in range(len(countries))]
+        reports = []
+        for _ in range(2):
+            records = []
+            for k, (name, country) in enumerate(zip(names, countries)):
+                pp = 0.08 + 0.04 * (k // 3) + 0.002 * (k % 3)
+                width = 0.03 if k >= 9 else 0.01
+                records.append(make_record(name=name, country=country, p=5000.0, pp=pp,
+                                           ci=(pp - width, pp + width)))
+            path = tmp_path / "edition.csv"
+            path.write_text(dump_records(records))
+            code, out, _ = run(capsys, "compare", "--input", str(path), *argv)
+            assert code == 0
+            reports.append(_compare_facts(out))
+            random.Random(2).shuffle(names)
+        assert reports[0] == reports[1]
+        spearman = reports[0][2][-1]
+        assert spearman == ("Spearman   = 0.949" if not argv
+                            else "Spearman   = n/a (unordered categories)")
 
 
 class TestDecompose:
@@ -436,6 +495,26 @@ class TestErrorPaths:
     def test_usage_error_exit_2(self, capsys):
         code, _, err = run(capsys, "group", "--criterion", "astrology")
         assert code == 2
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--split-by-country",), "--split-by-country"),
+        (("--input", "/nonexistent.csv"), "--input"),
+        (("--period", "2015-2018"), "--period"),
+        (("--field", "All sciences"), "--field"),
+        (("--counting", "frac"), "--counting"),
+        (("--countries", "CN"), "--countries"),
+        (("--countries", "CN", "--input", "x.csv", "--split-by-country"),
+         "--split-by-country, --input, --countries"),
+    ], ids=["split-by-country", "input", "period", "field", "counting", "countries", "three"])
+    def test_labels_mode_rejects_record_flags(self, capsys, tmp_path, flags, named):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("name,category\nx1,cat\nx2,dog\n")
+        code, out, err = run(capsys, "compare", "--labels-a", str(labels),
+                             "--labels-b", str(labels), *flags)
+        assert code == 2
+        assert err == ("ranksig: error: --labels-a and --labels-b compare two label files; "
+                       f"they do not read {named}\n")
+        assert out == ""
 
     @pytest.mark.parametrize("argv, message", [
         (("decompose", "nan", "1", "2"), "decomposition inputs must be finite, got nan"),
@@ -836,6 +915,43 @@ class TestPublicSurface:
         exported = {name for names in ranksig._EXPORTS.values() for name in names}
         assert sorted(exported - read) == []
 
+    def test_no_private_name_crosses_a_module(self):
+        """No module of the package imports a ``_`` name from another: a rule
+        that two modules read is public in the module that owns it."""
+        src = Path(__file__).resolve().parents[1] / "src" / "ranksig"
+        crossing = [
+            f"{path.relative_to(src)}:{node.lineno}: {alias.name}"
+            for path in sorted(src.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or node.module.split(".")[0] == "ranksig")
+            for alias in node.names if alias.name.startswith("_")
+        ]
+        assert crossing == []
+
+    def test_numpy_is_the_only_run_time_dependency(self):
+        """The package imports nothing outside the standard library but numpy,
+        and pyproject.toml declares nothing else."""
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        allowed = set(sys.stdlib_module_names) | {"numpy", "ranksig"}
+        foreign = []
+        for path in sorted((root / "src" / "ranksig").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    modules = [node.module]
+                else:
+                    continue
+                foreign += [f"{path.name}:{node.lineno}: {m}" for m in modules
+                            if m.split(".")[0] not in allowed]
+        assert foreign == []
+        project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+        declared = [re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0]
+                    for dep in project["project"]["dependencies"]]
+        assert declared == ["numpy"]
+
     def test_every_error_class_is_raised(self):
         """An exception or warning class of errors.py that no other module of
         the package raises (``raise X(``) or warns (``warn(..., X``) is dead."""
@@ -879,8 +995,8 @@ class TestCountedWarnings:
         assert result.returncode == 0
         assert result.stderr == (
             "4 institutions, 3 edges, 1 groups, 1 isolates\n"
-            "ranksig: warning: 3 x DegeneratePoolWarning: identical proportions "
-            "over a degenerate pool: z defined as 0\n"
+            "ranksig: warning: 3 x DegeneratePoolWarning: pooled variance is 0: "
+            "z defined as 0\n"
         )
 
     def test_degenerate_table_in_pairwise(self, tmp_path, degenerate):
@@ -906,8 +1022,8 @@ class TestCountedWarnings:
             "z (exact ratios)  = 0.000   (n.s.)\n"
         )
         assert result.stderr == (
-            "ranksig: warning: 2 x DegeneratePoolWarning: identical proportions "
-            "over a degenerate pool: z defined as 0\n"
+            "ranksig: warning: 2 x DegeneratePoolWarning: pooled variance is 0: "
+            "z defined as 0\n"
         )
 
     def test_stderr_unchanged_without_degenerate_pairs(self, tmp_path):
@@ -971,8 +1087,8 @@ class TestDegeneratePool:
     """A pair whose pooled variance is 0 (a pool of 0 or 1, or one that underflows)
     gets z 0 and a counted warning."""
 
-    WARNING = ("ranksig: warning: {} x DegeneratePoolWarning: identical proportions "
-               "over a degenerate pool: z defined as 0\n")
+    WARNING = ("ranksig: warning: {} x DegeneratePoolWarning: pooled variance is 0: "
+               "z defined as 0\n")
 
     # (t of D and E, their stored shares, their interval): no top-10% papers
     # on either side, or only those; the stored shares still differ
@@ -1030,6 +1146,25 @@ class TestDegeneratePool:
             assert code == 0
             assert err.endswith(self.WARNING.format(count))
             assert err.count("ranksig: warning:") == 1
+
+    def test_expected_cell_that_underflows(self, capsys, tmp_path, monkeypatch):
+        # A's top count of 5e-324 makes a positive column total whose expected
+        # cells round to 0: chi-square is undefined, and the report still prints
+        (tmp_path / "x.csv").write_text(
+            "name,country,period,field,counting,p,t_top10,pp_top10\n"
+            "A,CN,2020,All,frac,10,5e-324,0\n"
+            "B,CN,2020,All,frac,10,0,0\n"
+            "C,CN,2020,All,frac,50,5,0.1\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "pairwise", "--input", "x.csv", "A", "B")
+        assert code == 0
+        assert "\nchi-square test undefined: a row or column total is zero\n" in out
+        assert "z (stored shares) = 0.000" in out and "z (exact ratios)  = 0.000" in out
+        assert err == self.WARNING.format(2)
+        for argv in (("group",), ("export",)):
+            code, _, err = run(capsys, *argv, "--input", "x.csv")
+            assert code == 0
+            assert err.endswith(self.WARNING.format(1))
 
     def test_pool_that_rounds_to_1(self, capsys, tmp_path, monkeypatch):
         # A and B pool to 1.0 while B's t / p stays below 1

@@ -308,3 +308,38 @@ def test_load_records_names_the_file_of_an_invariant_error(tmp_path):
 @given(st.lists(_records(), min_size=1, max_size=8, unique_by=lambda r: r.name))
 def test_select_records_identity_without_selector(records):
     assert select_records(records) == list(records)
+
+
+class TestLoadLabels:
+    """``load_labels`` reads a name,category CSV as records are read."""
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        from ranksig.ingest import load_labels
+
+        path = tmp_path / "labels.csv"
+        path.write_text("name,category\n\nx1,cat\n , \n\r\nx2 , dog\nx1,cat\n", encoding="utf-8")
+        assert load_labels(path) == {"x1": "cat", "x2": "dog"}
+
+    @pytest.mark.parametrize("text, line, reason", [
+        ("name,category\nx1,cat\n\nlonely\n", 4, "need name and category columns"),
+        ("name,category\n\"x1\nx2\",cat\nlonely\n", 4, "need name and category columns"),
+        ("", 1, "empty labels file"),
+        ("name,category\n\n", 1, "no label rows"),
+    ], ids=["short-row", "after-quoted-line-break", "empty", "header-only"])
+    def test_bad_file_names_its_file_and_line(self, tmp_path, text, line, reason):
+        from ranksig.ingest import load_labels
+
+        path = tmp_path / "labels.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedRow) as caught:
+            load_labels(path)
+        assert (caught.value.line_no, caught.value.reason) == (line, f"{path}: {reason}")
+
+    def test_conflicting_categories_raise(self, tmp_path):
+        from ranksig.ingest import load_labels
+
+        path = tmp_path / "labels.csv"
+        path.write_text("name,category\nx1,cat\nx2,dog\nx1,dog\n", encoding="utf-8")
+        with pytest.raises(DuplicateRecord) as caught:
+            load_labels(path)
+        assert str(caught.value) == f"{path}: conflicting categories for 'x1'"
