@@ -28,8 +28,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .errors import (
-    ConstantInput, DegeneratePoolWarning, DegenerateTable, MixedSlices, NoMatch,
-    RanksigError, UnknownInstitution, ZeroExpectedCell,
+    DegeneratePoolWarning, DegenerateTable, MixedSlices, NoMatch, RanksigError,
+    UnknownInstitution, ZeroExpectedCell,
 )
 from .export import GRAPH_FORMATS, csv_line
 
@@ -154,19 +154,18 @@ def _graph_for(args, records, criterion_token: str) -> SignificanceGraph:
 
 
 def _tiers(graph: SignificanceGraph) -> Tuple[Dict[str, str], Dict[str, int]]:
-    """Tier label and ordinal of each name in the ranked weak components of
-    ``graph``: tier1..tierK and 1..K for the regular tiers, isolate and K + 1
-    for the isolates."""
+    """Tier label of each name in the ranked weak components of ``graph``, and
+    the rank of each label: tier1..tierK rank 1..K, isolate K + 1."""
     _bind("weak_components", "rank_groups")
     tables = rank_groups(graph, weak_components(graph))
     k = sum(not t.isolate for t in tables)
     labels: Dict[str, str] = {}
-    ordinals: Dict[str, int] = {}
+    ranks: Dict[str, int] = {}
     for t in tables:
-        label, ordinal = ("isolate", k + 1) if t.isolate else (f"tier{t.group + 1}", t.group + 1)
-        for row in t.rows:
-            labels[row.name], ordinals[row.name] = label, ordinal
-    return labels, ordinals
+        label, rank = ("isolate", k + 1) if t.isolate else (f"tier{t.group + 1}", t.group + 1)
+        ranks[label] = rank
+        labels.update(dict.fromkeys((row.name for row in t.rows), label))
+    return labels, ranks
 
 
 # ---------------------------------------------------------------- pairwise
@@ -203,7 +202,7 @@ def cmd_pairwise(args) -> int:
         chi2 = stats.chi_square(table)
         resid = stats.standardized_residuals(table)
     except ZeroExpectedCell:
-        chi_part = ["chi-square test undefined: a row or column total is zero"]
+        chi_part = ["chi-square test undefined: an expected count is zero"]
     else:
         chi_level = stats.chi_square_level(chi2, (len(table.rows) - 1) * (len(table.cols) - 1))
         chi_part = [
@@ -340,12 +339,14 @@ def _two_categories(sides, shared) -> None:
         )
 
 
-def _compare_report(sides, ordinals, heading, bold) -> str:
+def _compare_report(sides, ranks, heading, bold) -> str:
+    """The report on two labellings; ``ranks`` holds each side's category ->
+    rank map, or None for a side whose categories have no order."""
     from . import compare as cmp_mod, stats
     (label_a, *_), (label_b, *_) = sides
     shared = sorted(set(label_a) & set(label_b))
     _two_categories(sides, shared)
-    ct = cmp_mod.crosstab(label_a, label_b)
+    ct = cmp_mod.crosstab(label_a, label_b, ranks)
     chi2 = stats.chi_square(ct)
     dof = (len(ct.rows) - 1) * (len(ct.cols) - 1)
     level = stats.chi_square_level(chi2, dof)
@@ -353,14 +354,13 @@ def _compare_report(sides, ordinals, heading, bold) -> str:
     ph = cmp_mod.phi(ct)
 
     # only tiers are ordered: category codes would tie rho to the names
-    if ordinals is None:
+    if None in ranks:
         rho = "n/a (unordered categories)"
     else:
-        xs, ys = ([float(side[n]) for n in shared] for side in ordinals)
-        try:
-            rho = f"{cmp_mod.spearman(xs, ys):.3f}"
-        except ConstantInput:
-            rho = "n/a (constant labeling)"
+        # _two_categories has ruled out a constant side
+        xs, ys = ([float(rank[labels[n]]) for n in shared]
+                  for (labels, *_), rank in zip(sides, ranks))
+        rho = f"{cmp_mod.spearman(xs, ys):.3f}"
 
     parts = [
         bold(heading),
@@ -382,7 +382,6 @@ _RECORD_FLAGS = ("split_by_country", "input", "period", "field", "counting", "co
 
 
 def cmd_compare(args) -> int:
-    ordinals = None
     if args.labels_a or args.labels_b:
         if not (args.labels_a and args.labels_b):
             raise RanksigError("--labels-a and --labels-b must be given together")
@@ -395,19 +394,21 @@ def cmd_compare(args) -> int:
             (load_labels(path), f"{flag} {path}", "category", "give it two or more")
             for flag, path in (("--labels-a", args.labels_a), ("--labels-b", args.labels_b))
         ]
+        ranks = (None, None)
         heading = f"Association: {args.labels_a} vs {args.labels_b}"
     elif args.split_by_country:
         records = _load_records(args)
-        tiers, _ = _tiers(_graph_for(args, records, args.criterion))
+        tiers, tier_ranks = _tiers(_graph_for(args, records, args.criterion))
         sides = [
             ({r.name: r.country for r in records}, "the country labelling", "country",
              "--split-by-country needs records from two or more countries"),
             (tiers, *_tier_side("--criterion", args.criterion)),
         ]
+        ranks = (None, tier_ranks)
         heading = f"Association: country vs {args.criterion} tiers"
     else:
         records = _load_records(args)
-        (tiers_a, ordinals_a), (tiers_b, ordinals_b) = (
+        (tiers_a, ranks_a), (tiers_b, ranks_b) = (
             _tiers(_graph_for(args, records, token))
             for token in (args.criterion, args.criterion_b)
         )
@@ -415,9 +416,9 @@ def cmd_compare(args) -> int:
             (tiers_a, *_tier_side("--criterion", args.criterion)),
             (tiers_b, *_tier_side("--criterion-b", args.criterion_b)),
         ]
-        ordinals = (ordinals_a, ordinals_b)
+        ranks = (ranks_a, ranks_b)
         heading = f"Association: {args.criterion} tiers vs {args.criterion_b} tiers"
-    _emit(_compare_report(sides, ordinals, heading, _styler(plain=bool(args.out))), args.out)
+    _emit(_compare_report(sides, ranks, heading, _styler(plain=bool(args.out))), args.out)
     return 0
 
 
@@ -626,7 +627,11 @@ def main(argv=None) -> int:
 
 def _entry() -> int:
     """Process entry (``python -m ranksig.cli`` and the console script): ``main``
-    with the cyclic collector off, then the heap frozen.
+    with one BLAS thread and the cyclic collector off, then the heap frozen.
+
+    ranksig runs no BLAS code, but numpy's OpenBLAS starts one thread per core
+    when it loads, and the idle pool costs CPU in every call; a value the user
+    set is kept.
 
     A run is one short process that leaves a few hundred cyclic objects
     whatever its input, so the automatic collections (about 40, 8-11 ms, in
@@ -636,6 +641,7 @@ def _entry() -> int:
     20k). ``main`` itself changes neither: tests and benchmarks call it
     in-process."""
     import gc
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     gc.disable()
     status = main()
     gc.freeze()

@@ -10,7 +10,7 @@ how score distributions differ between categories.
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ConstantInput, LengthMismatch, NoOverlap
 from .ingest import InstitutionRecord
@@ -23,25 +23,26 @@ __all__ = [
 
 
 def crosstab(
-    label_a: Mapping[str, str], label_b: Mapping[str, str]
+    label_a: Mapping[str, str],
+    label_b: Mapping[str, str],
+    ranks: Tuple[Optional[Mapping[str, int]], Optional[Mapping[str, int]]] = (None, None),
 ) -> ContingencyTable:
     """Cross-tabulate two categorical labelings over their shared institutions.
 
-    Cells are integer counts; category order is first appearance while
-    scanning institutions in ascending name order, which makes the table
-    independent of mapping insertion order.
+    Cells are integer counts. The categories of a side are listed by their
+    rank when ``ranks`` gives that side a category -> rank map (tiers, say),
+    and by label otherwise, so the table depends neither on the names nor
+    on mapping insertion order.
     """
-    shared = sorted(set(label_a) & set(label_b))
+    shared = set(label_a) & set(label_b)
     if not shared:
         raise NoOverlap("the two labelings share no institutions")
 
-    row_cats: List[str] = []
-    col_cats: List[str] = []
-    for name in shared:
-        if label_a[name] not in row_cats:
-            row_cats.append(label_a[name])
-        if label_b[name] not in col_cats:
-            col_cats.append(label_b[name])
+    def categories(labels, rank):
+        cats = sorted({labels[name] for name in shared})
+        return cats if rank is None else sorted(cats, key=rank.__getitem__)
+
+    row_cats, col_cats = map(categories, (label_a, label_b), ranks)
 
     counts = [[0 for _ in col_cats] for _ in row_cats]
     for name in shared:

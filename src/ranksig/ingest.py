@@ -10,13 +10,15 @@ default) declares the unit of ``pp_top10`` and the interval bounds; there
 is no heuristic unit guessing. Empty cells mean an optional value is
 absent. The ``t_top10``, ``ci_lower``, and ``ci_upper`` columns may be
 omitted from the header entirely; a missing top count is reconstructed as
-``pp_top10 * p``. LF and CRLF line endings are both accepted.
+``pp_top10 * p``. LF and CRLF line endings and a leading byte-order mark
+are accepted.
 
-Counts are stored as reals: fractional counting attributes partial
-publication credit, so neither ``p`` nor ``t_top10`` needs to be an
-integer. A count above ``MAX_COUNT`` (10^12 publications, far beyond any
-real edition) is rejected, as a malformed row in a file and by the record
-itself when built in Python: sums of such counts can overflow the
+The reader turns text into values and ``InstitutionRecord`` judges them:
+text that gives no value is a ``MalformedRow``; a value that breaks a record
+invariant raises the record's own ``InvariantViolation``, with the line.
+Counts are reals, as fractional counting gives partial publication credit.
+A count above ``MAX_COUNT`` (10^12 publications, far beyond any real
+edition) breaks an invariant: sums of such counts can overflow the
 statistics downstream.
 """
 
@@ -54,7 +56,7 @@ _COLUMNS = (
 )
 _OPTIONAL_COLUMNS = frozenset({"t_top10", "ci_lower", "ci_upper"})
 
-# Largest publication count (``p`` or ``t_top10``) accepted at ingest.
+# Largest publication count (``p``, and so ``t_top10``) a record accepts.
 MAX_COUNT = 1e12
 
 
@@ -194,28 +196,24 @@ def _t_consistent(t: float, pp: float, p: float) -> bool:
 
 
 def _as_text(source: Union[str, bytes, IO]) -> str:
+    """The text of ``source`` without one leading byte-order mark (spreadsheets
+    save "CSV UTF-8" with one); a bad byte is reported at its line."""
+    if not isinstance(source, (str, bytes)):
+        source = source.read()
     if isinstance(source, bytes):
         try:
-            return source.decode("utf-8")
+            source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             line = source.count(b"\n", 0, exc.start) + 1
             raise MalformedRow(line, f"input is not valid UTF-8: {exc}") from exc
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    if isinstance(data, bytes):
-        return _as_text(data)
-    return data
+    return source.removeprefix("\ufeff")
 
 
 def _parse_float(line_no: int, column: str, cell: str) -> float:
     try:
-        value = float(cell)
+        return float(cell)
     except ValueError:
         raise MalformedRow(line_no, f"column {column!r}: {cell!r} is not a number") from None
-    if not math.isfinite(value):
-        raise MalformedRow(line_no, f"column {column!r}: non-finite value {cell!r}")
-    return value
 
 
 def parse_records(source: Union[str, bytes, IO]) -> list:
@@ -292,17 +290,8 @@ def _check_header(header: list, line_no: int) -> None:
         raise MalformedRow(line_no, "header columns are out of order")
 
 
-def _parse_count(line_no: int, column: str, cell: str) -> float:
-    value = _parse_float(line_no, column, cell)
-    if value > MAX_COUNT:
-        raise MalformedRow(
-            line_no, f"column {column!r}: {cell!r} exceeds the ceiling of {MAX_COUNT:g}"
-        )
-    return value
-
-
 def _build_record(cells: dict, line_no: int, percent: bool) -> InstitutionRecord:
-    for col in ("name", "country", "period", "field", "counting", "p", "pp_top10"):
+    for col in ("country", "period", "field", "counting", "p", "pp_top10"):
         if not cells.get(col, "").strip():
             raise MalformedRow(line_no, f"column {col!r} is empty")
 
@@ -311,14 +300,14 @@ def _build_record(cells: dict, line_no: int, percent: bool) -> InstitutionRecord
     except ValueError as exc:
         raise MalformedRow(line_no, str(exc)) from None
 
-    p = _parse_count(line_no, "p", cells["p"])
+    p = _parse_float(line_no, "p", cells["p"])
     pp = _parse_float(line_no, "pp_top10", cells["pp_top10"])
     scale = 0.01 if percent else 1.0
     pp *= scale
 
     t_cell = cells.get("t_top10", "").strip()
     if t_cell:
-        t = _parse_count(line_no, "t_top10", t_cell)
+        t = _parse_float(line_no, "t_top10", t_cell)
     else:
         t = pp * p
 

@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import ranksig
 from ranksig import cli, export
 from ranksig.cli import main
+from ranksig.errors import InvariantViolation
 from ranksig.export import render_graph
 from ranksig.ingest import dump_records, load_records
 from ranksig.siggraph import build_graph
@@ -157,17 +158,13 @@ def _two_nation_labels(tmp_path, names):
     return country_file, tier_file
 
 
-def _compare_facts(out):
-    """A compare report with its cross-tabulation read as {(row, column): count}.
-
-    Which category is listed first follows the institution names; the
-    counts and the statistics must not."""
+def _crosstab_labels(out):
+    """The row and column labels of a compare report's cross-tabulation,
+    without its margins."""
     lines = out.splitlines()
     start = lines.index("Cross-tabulation") + 1
-    end = lines.index("", start)
-    header, *rows = (line.split() for line in lines[start:end])
-    cells = {(row[0], col): n for row in rows for col, n in zip(header[1:], row[1:])}
-    return lines[:start], cells, lines[end:]
+    header, *rows, _ = (line.split() for line in lines[start:lines.index("", start)])
+    return [row[0] for row in rows], header[1:-1]
 
 
 class TestCompare:
@@ -250,10 +247,12 @@ class TestCompare:
             code, out, _ = run(capsys, "compare", "--labels-a", str(country_file),
                                "--labels-b", str(tier_file))
             assert code == 0
-            reports.append(_compare_facts(out))
+            reports.append(out)
             random.Random(1).shuffle(names)
         assert reports[0] == reports[1]
-        assert reports[0][2][-1] == "Spearman   = n/a (unordered categories)"
+        assert _crosstab_labels(reports[0]) == (
+            ["China", "USA"], ["high", "isolate", "low", "middle"])
+        assert reports[0].endswith("Spearman   = n/a (unordered categories)\n")
 
     @pytest.mark.parametrize("argv", [(), ("--split-by-country",)], ids=["tiers", "country"])
     def test_records_report_does_not_depend_on_names(self, capsys, tmp_path, argv):
@@ -272,12 +271,15 @@ class TestCompare:
             path.write_text(dump_records(records))
             code, out, _ = run(capsys, "compare", "--input", str(path), *argv)
             assert code == 0
-            reports.append(_compare_facts(out))
+            reports.append(out)
             random.Random(2).shuffle(names)
         assert reports[0] == reports[1]
-        spearman = reports[0][2][-1]
-        assert spearman == ("Spearman   = 0.949" if not argv
-                            else "Spearman   = n/a (unordered categories)")
+        # tiers are listed in tier order, countries by name
+        tiers = ["tier1", "tier2", "tier3", "tier4"]
+        assert _crosstab_labels(reports[0]) == (
+            (tiers, tiers[:3]) if not argv else (["CN", "DE", "US"], tiers))
+        assert reports[0].endswith("Spearman   = 0.949\n" if not argv
+                                   else "Spearman   = n/a (unordered categories)\n")
 
 
 class TestDecompose:
@@ -404,6 +406,36 @@ class TestErrorPaths:
         code, _, err = run(capsys, "group", "--period", "1999-2002")
         assert code == 2
         assert "no records match" in err
+
+    # the reader turns text into values and the record judges them: a row's
+    # value defect reads as building that record in Python does, after its
+    # line and file
+    @pytest.mark.parametrize("name, p, t, pp", [
+        ("X", math.inf, 1.0, 0.1), ("", 10.0, 1.0, 0.1), ("X", 10.0, 1.0, math.nan),
+        ("X", 1e308, 1.0, 0.1), ("X", 1e12, 2e12, 0.1),
+    ], ids=["inf-p", "empty-name", "nan-pp", "p-past-ceiling", "t-past-ceiling"])
+    def test_record_defect_in_a_file_reads_as_the_record(self, capsys, tmp_path,
+                                                         name, p, t, pp):
+        with pytest.raises(InvariantViolation) as built:
+            make_record(name=name, p=p, t=t, pp=pp)
+        path = tmp_path / "bad.csv"
+        path.write_text(dump_records([make_record(name="A")]) +
+                        f"{name},CN,2015-2018,All sciences,frac,{p!r},{t!r},{pp!r},,\n")
+        code, out, err = run(capsys, "group", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"ranksig: error: line 3: {path}: {built.value}\n"
+
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        text = dump_records([make_record(name="A", pp=0.1), make_record(name="B", pp=0.2)])
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert run(capsys, "group", "--input", str(bom)) == (
+            run(capsys, "group", "--input", str(plain)))
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8").replace(b"\nB,", b"\nB\xff,"))
+        code, out, err = run(capsys, "group", "--input", str(bom))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"ranksig: error: line 3: {bom}: input is not valid UTF-8")
 
     def test_count_past_the_ceiling_exit_2(self, capsys, tmp_path):
         # p = 1e308 used to overflow the pair table's fsum: exit 1
@@ -783,6 +815,28 @@ class TestProcessEntry:
         assert result.returncode == 0, result.stderr
         assert result.stdout.endswith("frozen True collector False\n")
 
+    # numpy's OpenBLAS starts one idle thread per core unless told otherwise
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_entry_runs_one_blas_thread_unless_the_user_sets_it(self):
+        count = "import os; print(os.environ.get('OPENBLAS_NUM_THREADS'), " \
+                "len(os.listdir('/proc/self/task')))"
+        script = ("import sys, ranksig.cli as cli\n"
+                  "def main():\n"
+                  f"    import numpy; {count}\n"
+                  "cli.main = main\n"
+                  "sys.exit(cli._entry())\n")
+        def threads(setting, code):
+            env = {k: v for k, v in _child_env().items() if k != "OPENBLAS_NUM_THREADS"}
+            if setting is not None:
+                env["OPENBLAS_NUM_THREADS"] = setting
+            result = subprocess.run([sys.executable, "-c", code], env=env,
+                                    capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            return result.stdout
+        assert threads(None, script) == "1 1\n"
+        # a value the user set is kept: as many threads as numpy alone starts
+        assert threads("2", script) == threads("2", f"import numpy; {count}")
+
     def test_large_graph_file_in_a_new_process(self, capsys, tmp_path, monkeypatch):
         records = [make_record(name=f"Univ {k:03d}", p=1000.0 + 7 * k, pp=0.1 + 1e-5 * (k % 97))
                    for k in range(300)]
@@ -1015,7 +1069,7 @@ class TestCountedWarnings:
             "B          0.00  1000.00  1000.00\n"
             "total      0.00  2000.00  2000.00\n"
             "\n"
-            "chi-square test undefined: a row or column total is zero\n"
+            "chi-square test undefined: an expected count is zero\n"
             "\n"
             "Two-proportion z\n"
             "z (stored shares) = 0.000   (n.s.)\n"
@@ -1158,7 +1212,7 @@ class TestDegeneratePool:
         monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, "pairwise", "--input", "x.csv", "A", "B")
         assert code == 0
-        assert "\nchi-square test undefined: a row or column total is zero\n" in out
+        assert "\nchi-square test undefined: an expected count is zero\n" in out
         assert "z (stored shares) = 0.000" in out and "z (exact ratios)  = 0.000" in out
         assert err == self.WARNING.format(2)
         for argv in (("group",), ("export",)):

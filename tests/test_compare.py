@@ -78,6 +78,16 @@ class TestCrosstab:
         with pytest.raises(NoOverlap):
             crosstab({"a": "x", "b": "x"}, {"c": "y", "d": "y"})
 
+    def test_categories_by_rank_else_by_label(self):
+        tiers = {"a": "tier10", "b": "tier2", "c": "isolate", "d": "tier2"}
+        other = {"a": "y", "b": "x", "c": "x", "d": "z"}
+        ranks = {"tier2": 1, "tier10": 2, "isolate": 3}
+        ct = crosstab(tiers, other, (ranks, None))
+        assert (ct.rows, ct.cols) == (("tier2", "tier10", "isolate"), ("x", "y", "z"))
+        ct = crosstab(other, tiers, (None, ranks))
+        assert (ct.rows, ct.cols) == (("x", "y", "z"), ("tier2", "tier10", "isolate"))
+        assert crosstab(tiers, other).rows == ("isolate", "tier10", "tier2")
+
     def test_insertion_order_does_not_matter(self):
         label_a = {"b": "x", "a": "y", "c": "x"}
         label_b = {"c": "v", "a": "u", "b": "u"}

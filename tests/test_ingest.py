@@ -80,18 +80,20 @@ class TestParsing:
 
 
 class TestMalformed:
-    @pytest.mark.parametrize("row, fragment", [
-        ("X,CN,2015-2018,F,frac,abc,1,0.1,,", "not a number"),
-        ("X,CN,2015-2018,F,frac,10,1,0.1,", "cells"),
-        ("X,CN,2015-2018,F,sideways,10,1,0.1,,", "counting"),
-        ("X,CN,2015-2018,F,frac,inf,1,0.1,,", "non-finite"),
-        (",CN,2015-2018,F,frac,10,1,0.1,,", "empty"),
-        ("X,CN,2015-2018,F,frac,10,1,nan,,", "non-finite"),
-        ("X,CN,2015-2018,F,frac,1e308,1,0.1,,", "ceiling"),
-        ("X,CN,2015-2018,F,frac,1e12,2e12,0.1,,", "ceiling"),
+    # text that gives no value is malformed; a value the record rejects
+    # raises the record's own InvariantViolation, at the row's line
+    @pytest.mark.parametrize("row, fragment, error", [
+        ("X,CN,2015-2018,F,frac,abc,1,0.1,,", "not a number", MalformedRow),
+        ("X,CN,2015-2018,F,frac,10,1,0.1,", "cells", MalformedRow),
+        ("X,CN,2015-2018,F,sideways,10,1,0.1,,", "counting", MalformedRow),
+        ("X,CN,2015-2018,F,frac,inf,1,0.1,,", "p must be a finite real", InvariantViolation),
+        (",CN,2015-2018,F,frac,10,1,0.1,,", "empty name", InvariantViolation),
+        ("X,CN,2015-2018,F,frac,10,1,nan,,", "pp_top10 must be a proportion", InvariantViolation),
+        ("X,CN,2015-2018,F,frac,1e308,1,0.1,,", "ceiling", InvariantViolation),
+        ("X,CN,2015-2018,F,frac,1e12,2e12,0.1,,", "t_top10 <= p", InvariantViolation),
     ])
-    def test_bad_rows_raise_with_line_number(self, row, fragment):
-        with pytest.raises(MalformedRow) as err:
+    def test_bad_rows_raise_with_line_number(self, row, fragment, error):
+        with pytest.raises(error) as err:
             parse_rows(row)
         assert err.value.line_no == 2
         assert fragment in str(err.value)
@@ -135,6 +137,11 @@ class TestMalformed:
         with pytest.raises(MalformedRow, match="UTF-8"):
             parse_records(b"\xff\xfe\x00bad")
 
+    def test_byte_order_mark_is_skipped(self):
+        text = "\n".join([HEADER, TSINGHUA_ROW]).encode("utf-8")
+        assert parse_records(b"\xef\xbb\xbf" + text) == parse_records(text)
+        assert parse_records("\ufeff" + text.decode()) == parse_records(text)
+
 
 class TestInvariants:
     @pytest.mark.parametrize("row", [
@@ -170,7 +177,7 @@ class TestInvariants:
             counting=Counting.FULL, p=p, t_top10=t, pp_top10=t / p,
         )
 
-    # counts built in Python obey the ceiling that ingest applies to files;
+    # the record owns the ceiling, for rows read from files as for Python;
     # t_top10 <= p, so t_top10 can pass it only when p does
     @pytest.mark.parametrize("p, t", [(1e13, 1e12), (1e13, 1e13), (1e308, 1e307)],
                              ids=["p", "p and t_top10", "overflowing"])
