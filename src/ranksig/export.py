@@ -4,16 +4,13 @@ Each format is a private layout of three parts in the canonical order of a
 SignificanceGraph: the text before the edges, a renderer of any one block
 of ``_EDGE_BLOCK`` edges, which needs no block before it, and the text
 after the edges. ``render_graph`` joins them into a string, and
-``write_graph`` writes them one block at a time. A large file is rendered
-on up to all usable cores with the same bytes: w = min(usable CPUs,
-blocks // 16) processes, at least one, each render a contiguous range of
-blocks.
+``write_graph`` streams them to a file or stdout one block at a time, so
+memory stays bounded by a block whatever the edge count.
 """
 
 from __future__ import annotations
 
-import os
-import stat
+import contextlib
 import sys
 from typing import TYPE_CHECKING
 
@@ -23,7 +20,6 @@ if TYPE_CHECKING:
 __all__ = ["GRAPH_FORMATS", "render_graph", "write_graph"]
 
 _EDGE_BLOCK = 1 << 10  # edges per block
-_BLOCKS_PER_WORKER = 16  # a process renders at least this many blocks
 
 
 def _fill(template: str, *columns: list) -> str:
@@ -124,99 +120,24 @@ def _layout(g: SignificanceGraph, fmt: str):
     return _LAYOUTS[fmt](g)
 
 
-def _edge_text(block, lo: int, hi: int):
-    """The text of edge blocks ``lo`` to ``hi - 1``, one block at a time."""
-    return (block(slice(k * _EDGE_BLOCK, (k + 1) * _EDGE_BLOCK)) for k in range(lo, hi))
+def _edge_text(g: SignificanceGraph, block):
+    """The text of the edges of ``g``, one block at a time."""
+    return (block(slice(lo, lo + _EDGE_BLOCK)) for lo in range(0, g.edge_count, _EDGE_BLOCK))
 
 
 def render_graph(g: SignificanceGraph, fmt: str) -> str:
     """The graph file text in ``fmt``, one of GRAPH_FORMATS."""
     head, block, tail = _layout(g, fmt)
-    return head + "".join(_edge_text(block, 0, -(-g.edge_count // _EDGE_BLOCK))) + tail
-
-
-def _workers(blocks: int) -> int:
-    """Processes that render a file of ``blocks`` edge blocks: one per 16
-    blocks, at most one per usable CPU, and one where ``os.fork`` is missing
-    or SIGCHLD is ignored (a worker's exit status could not be read)."""
-    if not hasattr(os, "fork") or blocks < 2 * _BLOCKS_PER_WORKER:
-        return 1
-    import signal
-    if signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, blocks // _BLOCKS_PER_WORKER))
+    return head + "".join(_edge_text(g, block)) + tail
 
 
 def write_graph(g: SignificanceGraph, fmt: str, out=None) -> None:
-    """Write ``render_graph(g, fmt)`` one edge block at a time to the file ``out``,
-    or to stdout.
-
-    A file is rendered by ``_workers`` processes, each taking a contiguous
-    range of blocks: this one writes the head and the first range, and each
-    forked worker renders its range into an unlinked temporary file in the
-    directory of ``out``, which is copied in after it. The bytes are the
-    same for any number of workers. A worker that fails raises OSError, and
-    no worker outlives the call.
-    """
+    """Write ``render_graph(g, fmt)`` to the file ``out``, or to stdout when
+    ``out`` is None, one edge block at a time: memory stays bounded by a
+    block, not by the file."""
     head, block, tail = _layout(g, fmt)
-    blocks = -(-g.edge_count // _EDGE_BLOCK)
-    if out is None:
-        _write_blocks(sys.stdout, None, head, block, tail, [0, blocks])
-        return
-    with open(out, "w", encoding="utf-8") as fh:
-        # a device or a pipe (such as /dev/stdout) has no directory for the parts
-        workers = _workers(blocks) if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else 1
-        _write_blocks(fh, out, head, block, tail,
-                      [blocks * k // workers for k in range(workers + 1)])
-
-
-def _write_blocks(fh, out, head: str, block, tail: str, cuts: list) -> None:
-    """Write the file to ``fh``, rendering block range k (``cuts[k]`` to
-    ``cuts[k + 1] - 1``) in forked worker k for every k > 0; a single range
-    forks nothing."""
-    parts, pids = [], []  # each worker's temporary file and process id, in range order
-    reaped = 0
-    if len(cuts) > 2:
-        import shutil
-        import signal
-        import tempfile
-        # a worker leaves by os._exit: it flushes no buffer and runs no atexit hook,
-        # so nothing it inherited is written twice
-        sys.stdout.flush()
-        sys.stderr.flush()
-        directory = os.path.dirname(os.path.abspath(out))
-    try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            parts.append(tempfile.TemporaryFile(dir=directory))
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    with open(parts[-1].fileno(), "w", encoding="utf-8", closefd=False) as text:
-                        text.writelines(_edge_text(block, lo, hi))
-                    status = 0
-                finally:
-                    os._exit(status)
-            pids.append(pid)
+    with (open(out, "w", encoding="utf-8") if out is not None
+          else contextlib.nullcontext(sys.stdout)) as fh:
         fh.write(head)
-        fh.writelines(_edge_text(block, cuts[0], cuts[1]))
-        fh.flush()  # the parts are copied in below the text layer
-        for pid, part in zip(pids, parts):
-            _, status = os.waitpid(pid, 0)
-            reaped += 1
-            if status:
-                raise OSError(f"{out}: a graph writer process failed "
-                              f"(exit status {os.waitstatus_to_exitcode(status)})")
-            part.seek(0)
-            shutil.copyfileobj(part, fh.buffer)
+        fh.writelines(_edge_text(g, block))
         fh.write(tail)
-    finally:
-        for pid in pids[reaped:]:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for part in parts:
-            part.close()

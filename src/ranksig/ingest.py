@@ -121,6 +121,12 @@ class InstitutionRecord:
                 f"{self.name}: pp_top10 must be a proportion in [0, 1] "
                 f"(got {self.pp_top10})"
             )
+        # half a publication plus 0.5% of p absorbs rounding of published shares
+        if abs(self.t_top10 - self.pp_top10 * self.p) > 0.5 + 0.005 * self.p:
+            raise InvariantViolation(
+                f"{self.name}: t_top10={self.t_top10} is inconsistent with "
+                f"pp_top10*p={self.pp_top10 * self.p:.4f}"
+            )
         if (self.ci_lower is None) != (self.ci_upper is None):
             raise InvariantViolation(
                 f"{self.name}: interval bounds must be both present or both absent"
@@ -187,12 +193,6 @@ class DatasetSelector:
         if self.countries is not None:
             parts.append(f"countries={{{', '.join(sorted(self.countries))}}}")
         return ", ".join(parts) if parts else "<all records>"
-
-
-# Tolerance for an explicitly supplied top count against pp_top10 * p:
-# half a publication plus 0.5% of p absorbs rounding of published shares.
-def _t_consistent(t: float, pp: float, p: float) -> bool:
-    return abs(t - pp * p) <= 0.5 + 0.005 * p
 
 
 def _as_text(source: Union[str, bytes, IO]) -> str:
@@ -306,10 +306,7 @@ def _build_record(cells: dict, line_no: int, percent: bool) -> InstitutionRecord
     pp *= scale
 
     t_cell = cells.get("t_top10", "").strip()
-    if t_cell:
-        t = _parse_float(line_no, "t_top10", t_cell)
-    else:
-        t = pp * p
+    t = _parse_float(line_no, "t_top10", t_cell) if t_cell else pp * p
 
     lo_cell = cells.get("ci_lower", "").strip()
     hi_cell = cells.get("ci_upper", "").strip()
@@ -317,7 +314,7 @@ def _build_record(cells: dict, line_no: int, percent: bool) -> InstitutionRecord
     hi = _parse_float(line_no, "ci_upper", hi_cell) * scale if hi_cell else None
 
     try:
-        rec = InstitutionRecord(
+        return InstitutionRecord(
             name=cells["name"].strip(),
             country=cells["country"].strip(),
             period=cells["period"].strip(),
@@ -329,15 +326,9 @@ def _build_record(cells: dict, line_no: int, percent: bool) -> InstitutionRecord
             ci_lower=lo,
             ci_upper=hi,
         )
-        if t_cell and not _t_consistent(rec.t_top10, rec.pp_top10, rec.p):
-            raise InvariantViolation(
-                f"{rec.name}: t_top10={rec.t_top10} is inconsistent with "
-                f"pp_top10*p={rec.pp_top10 * rec.p:.4f}"
-            )
     except InvariantViolation as exc:
         # a name recurs once per slice, so the line is what locates the row
         raise InvariantViolation(exc.reason, line_no) from None
-    return rec
 
 
 def select_records(

@@ -127,8 +127,9 @@ class SignificanceGraph:
         Useful for feeding externally computed z tables. A NaN node z raises
         InvalidStatistic (it has no place in the z order); +-inf is kept. An
         edge without z gets 0.0, and no edge is strong. Edges are checked in
-        input order: a self-edge, an endpoint that is not a node, and a pair
-        given twice (in either orientation) raise ValueError.
+        input order: an edge of other than 2 or 3 items, a self-edge, an
+        endpoint that is not a node, and a pair given twice (in either
+        orientation) raise ValueError.
         """
         nodes = sorted((name, float(z)) for name, z in scores)
         names = tuple(name for name, _ in nodes)
@@ -139,7 +140,10 @@ class SignificanceGraph:
             if math.isnan(z):
                 raise InvalidStatistic(f"node {name!r}: z is NaN")
         pair_z: Dict[Tuple[int, int], float] = {}
-        for a, b, *z in edges:
+        for edge in edges:
+            if len(edge) not in (2, 3):
+                raise ValueError(f"edge {edge!r} is not (a, b) or (a, b, z)")
+            a, b, *z = edge
             if a == b:
                 raise ValueError(f"self-edge on {a!r}")
             if a not in index or b not in index:
@@ -338,9 +342,14 @@ def _check_resolution(resolution: float) -> None:
 
 
 def _check_partition(g: SignificanceGraph, grouping: Grouping) -> None:
+    """A partition must name exactly the nodes of ``g``."""
     missing = [n for n in g.names if n not in grouping.assignment]
     if missing:
         raise ValueError(f"partition does not cover nodes: {missing[:5]}")
+    if len(grouping.assignment) != len(g.names):
+        nodes = set(g.names)
+        extra = sorted(n for n in grouping.assignment if n not in nodes)
+        raise ValueError(f"partition names nodes the graph lacks: {extra[:5]}")
 
 
 def modularity(

@@ -847,7 +847,7 @@ class TestProcessEntry:
         result = _python("-m", "ranksig.cli", *argv(""), cwd=tmp_path)
         assert result.returncode == 0, result.stderr
         graph = build_graph(load_records(tmp_path / "x.csv"))
-        assert graph.edge_count > 32 * export._EDGE_BLOCK  # rendered by up to 2 processes
+        assert graph.edge_count > 32 * export._EDGE_BLOCK
         assert (tmp_path / "g.json").read_bytes() == render_graph(graph, "vjson").encode()
         # the same output as main in this process
         monkeypatch.chdir(tmp_path)
@@ -982,6 +982,29 @@ class TestPublicSurface:
             for alias in node.names if alias.name.startswith("_")
         ]
         assert crossing == []
+
+    def test_no_unused_import(self):
+        """Every name a module of the package or of the tests imports is read
+        in it, unless its line says ``# noqa: F401`` (a name looked up from
+        outside, such as siggraph's ``ci_relation`` for the bench tracer)."""
+        root = Path(__file__).resolve().parents[1]
+        unused = []
+        for path in sorted([*(root / "src" / "ranksig").rglob("*.py"),
+                            *(root / "tests").glob("*.py")]):
+            text = path.read_text(encoding="utf-8")
+            lines, tree = text.splitlines(), ast.parse(text)
+            read = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unused += [
+                f"{path.relative_to(root)}:{alias.lineno}: {bound}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names
+                for bound in [alias.asname or alias.name.split(".")[0]]
+                if bound not in read and "# noqa: F401" not in lines[alias.lineno - 1]
+            ]
+        assert unused == []
 
     def test_numpy_is_the_only_run_time_dependency(self):
         """The package imports nothing outside the standard library but numpy,

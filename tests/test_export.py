@@ -15,13 +15,12 @@ import itertools
 import json
 import math
 import os
-import signal
 import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ranksig import cli, export
+from ranksig import export
 from ranksig.export import GRAPH_FORMATS, csv_line, render_graph, write_graph
 from ranksig.siggraph import Criterion, SignificanceGraph, build_graph
 
@@ -216,34 +215,9 @@ def test_vjson_stream_memory_is_bounded(tmp_path):
     assert peak < size / 8, (peak, size)
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_worker_count_rule():
-    # one process per 16 blocks, at most one per usable CPU
-    cpus = len(os.sched_getaffinity(0))
-    assert export._workers(0) == export._workers(12) == export._workers(31) == 1
-    assert export._workers(139) == min(8, cpus)
-    assert export._workers(2 ** 20) == cpus
-
-
-def test_ignored_sigchld_means_one_process():
-    # an ignored SIGCHLD (inherited across exec) reaps workers before their status is read
-    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-    try:
-        assert export._workers(2 ** 20) == 1
-    finally:
-        signal.signal(signal.SIGCHLD, previous)
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3, 5])
 @pytest.mark.parametrize("fmt, reference", WRITERS)
-def test_every_worker_count_writes_the_same_bytes(fmt, reference, workers, tmp_path,
-                                                  monkeypatch):
+def test_file_bytes_around_the_block(fmt, reference, tmp_path, monkeypatch):
     monkeypatch.setattr(export, "_EDGE_BLOCK", BLOCK)
-    monkeypatch.setattr(export, "_workers", lambda blocks: workers)
     graphs = {name: make() for name, make in GRAPHS.items()}
     graphs.update({f"{count} edges": graph_with_edges(count)
                    for count in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)})
@@ -252,32 +226,11 @@ def test_every_worker_count_writes_the_same_bytes(fmt, reference, workers, tmp_p
         write_graph(g, fmt, path)
         text = path.read_bytes().decode("utf-8")
         assert text == render_graph(g, fmt) == reference(g), name
-        assert_no_child_left()
 
 
-def test_two_workers_write_the_one_worker_file(tmp_path, monkeypatch):
-    g = crowded_graph(600)
-    one, two = tmp_path / "one.json", tmp_path / "two.json"
-    monkeypatch.setattr(export, "_workers", lambda blocks: 1)
-    write_graph(g, "vjson", one)
-    monkeypatch.setattr(export, "_workers", lambda blocks: 2)
-    tracemalloc.start()
-    try:
-        write_graph(g, "vjson", two)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert one.read_bytes() == two.read_bytes()
-    # copying the worker's part in holds no part in memory
-    assert peak < two.stat().st_size / 8, peak
-    assert_no_child_left()
-
-
-def test_a_pipe_is_written_by_one_process(monkeypatch):
-    # like /dev/stdout on a pipe: no directory to hold the workers' parts
+def test_a_pipe_is_written_whole(monkeypatch):
+    # like /dev/stdout on a pipe
     monkeypatch.setattr(export, "_EDGE_BLOCK", BLOCK)
-    monkeypatch.setattr(export, "_workers", lambda blocks: 3)
-    monkeypatch.delattr(os, "fork")
     g = graph_with_edges(2 * BLOCK + 1)
     r, w = os.pipe()
     with open(r, "rb") as reader:
@@ -286,48 +239,6 @@ def test_a_pipe_is_written_by_one_process(monkeypatch):
         finally:
             os.close(w)
         assert reader.read() == render_graph(g, "csv").encode()
-
-
-def failing_in_workers(monkeypatch, fmt):
-    """Make every block rendered outside this process raise."""
-    layout, parent = export._LAYOUTS[fmt], os.getpid()
-
-    def failing(g):
-        head, block, tail = layout(g)
-
-        def block_here(s):
-            if os.getpid() != parent:
-                raise RuntimeError("a worker fails")
-            return block(s)
-        return head, block_here, tail
-    monkeypatch.setitem(export._LAYOUTS, fmt, failing)
-
-
-def test_a_failed_worker_raises_and_leaves_no_child(tmp_path, monkeypatch):
-    monkeypatch.setattr(export, "_EDGE_BLOCK", BLOCK)
-    monkeypatch.setattr(export, "_workers", lambda blocks: 3)
-    failing_in_workers(monkeypatch, "csv")
-    g = graph_with_edges(2 * BLOCK + 1)
-    path = tmp_path / "graph.csv"
-    with pytest.raises(OSError, match="graph writer process failed"):
-        write_graph(g, "csv", path)
-    assert_no_child_left()
-    # the failure is in the workers only: one process writes the file
-    monkeypatch.setattr(export, "_workers", lambda blocks: 1)
-    write_graph(g, "csv", path)
-    assert path.read_bytes().decode("utf-8") == reference_edge_csv(g)
-
-
-def test_a_failed_worker_exits_the_cli_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(export, "_workers", lambda blocks: 2)
-    failing_in_workers(monkeypatch, "vjson")
-    monkeypatch.chdir(tmp_path)
-    code = cli.main(["group", "--graph-out", "graph.json", "--format", "vjson"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.endswith("ranksig: error: graph.json: a graph writer process failed "
-                        "(exit status 1)\n")
-    assert_no_child_left()
 
 
 # the characters csv quoting turns on, plus a few it must leave alone

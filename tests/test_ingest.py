@@ -163,6 +163,15 @@ class TestInvariants:
         (rec,) = parse_rows(TSINGHUA_ROW)
         assert rec.t_top10 == 2738.0
 
+    def test_t_inconsistent_with_the_share_raises(self):
+        # the rule a file row is held to holds for a record built in Python
+        with pytest.raises(InvariantViolation, match=r"^X: t_top10=500.0 is inconsistent "
+                                                     r"with pp_top10\*p=100.0000$"):
+            InstitutionRecord(
+                name="X", country="CN", period="p", field="f",
+                counting=Counting.FULL, p=1000.0, t_top10=500.0, pp_top10=0.1,
+            )
+
     def test_direct_construction_validates(self):
         with pytest.raises(InvariantViolation):
             InstitutionRecord(
@@ -249,6 +258,10 @@ _name = st.text(
 def _records(draw):
     p = draw(st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
     pp = draw(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+    # any top count the record's tolerance around pp * p allows, clear of its
+    # rounding edge, so the stored share need not be the count ratio
+    band = 0.999 * (0.5 + 0.005 * p)
+    t = min(p, max(0.0, pp * p + draw(st.floats(min_value=-band, max_value=band))))
     with_ci = draw(st.booleans())
     ci = None
     if with_ci:
@@ -262,7 +275,7 @@ def _records(draw):
         field=draw(st.sampled_from(["All sciences", "Physical sciences"])),
         counting=draw(st.sampled_from(list(Counting))),
         p=p,
-        t_top10=pp * p,
+        t_top10=t,
         pp_top10=pp,
         ci_lower=None if ci is None else ci[0],
         ci_upper=None if ci is None else ci[1],

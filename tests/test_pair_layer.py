@@ -91,9 +91,12 @@ def records(draw):
     for name in names:
         p = draw(counts)
         t = min(p, p * draw(fractions))
-        # stored share: either the count ratio or an independent value, so
+        # stored share: either the count ratio or any value the record's
+        # t_top10 tolerance allows (kept clear of its rounding edge), so
         # degenerate pools see both equal and unequal proportions
-        pp = draw(st.one_of(st.just(t / p), fractions))
+        band = 0.999 * (0.5 + 0.005 * p)
+        pp = draw(st.one_of(st.just(t / p), st.floats(min_value=max(0.0, (t - band) / p),
+                                                      max_value=min(1.0, (t + band) / p))))
         lo = pp * draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
         hi = min(1.0, pp + (1.0 - pp) * draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])))
         out.append(make_record(name=name, p=p, t=t, pp=pp, ci=(lo, hi)))

@@ -71,7 +71,12 @@ class TestGraphValidation:
         ([("a", "zz")], r"edge \('a', 'zz'\) references a missing node"),
         ([("a", "b"), ("a", "b")], r"duplicate edge \('a', 'b'\)"),
         ([("a", "b"), ("b", "a")], r"duplicate edge \('a', 'b'\)"),
-    ], ids=["self-edge", "missing node", "duplicate", "reversed duplicate"])
+        # a fourth item is not dropped: this is no strong edge
+        ([("a", "b", 0.9, True)], r"edge \('a', 'b', 0.9, True\) is not \(a, b\) or \(a, b, z\)"),
+        ([("a",)], r"edge \('a',\) is not \(a, b\) or \(a, b, z\)"),
+        ([("a", "b", 0.9, True), ("a", "a")], r"edge \('a', 'b', 0.9, True\) is not"),
+    ], ids=["self-edge", "missing node", "duplicate", "reversed duplicate", "four items",
+            "one item", "checked in input order"])
     def test_bad_edges_rejected(self, edges, message):
         with pytest.raises(ValueError, match=message):
             SignificanceGraph.from_scores([(n, 0.0) for n in "abc"], edges)
@@ -315,6 +320,15 @@ class TestModularity:
         partial = Grouping(assignment={"a": 0}, isolates=frozenset())
         with pytest.raises(ValueError, match="cover"):
             modularity(g, partial)
+
+    def test_partition_naming_a_missing_node_rejected(self):
+        # the graph lacks "Z": both readers of a partition refuse it alike
+        g = SignificanceGraph.from_scores([("A", 1.0), ("B", 2.0)], [("A", "B")])
+        extra = Grouping(assignment={"A": 0, "B": 0, "Z": 1}, isolates=frozenset())
+        for fn in (modularity, rank_groups):
+            with pytest.raises(ValueError, match=r"^partition names nodes the graph "
+                                                 r"lacks: \['Z'\]$"):
+                fn(g, extra)
 
 
 class TestCluster:
