@@ -215,12 +215,16 @@ def test_vjson_stream_memory_is_bounded(tmp_path):
     assert peak < size / 8, (peak, size)
 
 
+@pytest.mark.parametrize("block", [1, 2, 3, 5])
 @pytest.mark.parametrize("fmt, reference", WRITERS)
-def test_file_bytes_around_the_block(fmt, reference, tmp_path, monkeypatch):
-    monkeypatch.setattr(export, "_EDGE_BLOCK", BLOCK)
+def test_every_worker_count_writes_the_same_bytes(fmt, reference, block, tmp_path,
+                                                  monkeypatch):
+    # the name and ids are those of the forked writer's test, kept stable; one
+    # process writes every file now, so the parameter is the edge block size
+    monkeypatch.setattr(export, "_EDGE_BLOCK", block)
     graphs = {name: make() for name, make in GRAPHS.items()}
     graphs.update({f"{count} edges": graph_with_edges(count)
-                   for count in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)})
+                   for count in (0, 1, block - 1, block, block + 1, 2 * block + 1)})
     path = tmp_path / f"graph.{fmt}"
     for name, g in graphs.items():
         write_graph(g, fmt, path)
