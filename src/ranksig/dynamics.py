@@ -28,7 +28,12 @@ from .errors import EmptyInstitution, InvalidStatistic
 if TYPE_CHECKING:
     from .ingest import InstitutionRecord
 
-__all__ = ["StabilityInterval", "ChangeDecomposition", "bootstrap_interval", "decompose_change"]
+__all__ = ["MAX_DRAWS", "StabilityInterval", "ChangeDecomposition", "bootstrap_interval",
+           "decompose_change"]
+
+# Most bootstrap replicates one interval may ask for: 10^7 replicate shares
+# take 80 MB, and a larger count is far more than a percentile needs.
+MAX_DRAWS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -103,17 +108,21 @@ def bootstrap_interval(
     (1 - coverage)/2 and 1 - (1 - coverage)/2 nearest-rank percentiles of
     the replicate shares. Bit-identical for a fixed seed regardless of
     evaluation order; the RNG is numpy's PCG64 seeded per institution.
+    ``draws`` must lie in [1, MAX_DRAWS]; it is checked before any array
+    is allocated.
     """
-    import numpy as np
-
     if rec.p < 1:
         raise EmptyInstitution(
             f"{rec.name}: need at least one publication to resample (p={rec.p})"
         )
     if draws < 1:
         raise InvalidStatistic(f"draws must be >= 1, got {draws}")
+    if draws > MAX_DRAWS:
+        raise InvalidStatistic(f"draws must be at most {MAX_DRAWS}, got {draws}")
     if not (0 < coverage < 1):
         raise InvalidStatistic(f"coverage must lie in (0, 1), got {coverage}")
+
+    import numpy as np
 
     n = round(rec.p)
     rng = np.random.default_rng(_stream_seed(seed, rec.name))
@@ -137,7 +146,8 @@ def decompose_change(
     data_effect = reported_old - reconstructed_old (what new data did),
     model_effect = reconstructed_old - current (what the recalculated
     methodology did), total = their sum. Works symmetrically for increases;
-    opposing effects yield shares outside [0, 1].
+    opposing effects yield shares outside [0, 1]. Inputs must be finite, and
+    an effect or a total that overflows raises InvalidStatistic.
     """
     for v in (reported_old, reconstructed_old, current):
         if not math.isfinite(v):
@@ -145,6 +155,9 @@ def decompose_change(
     data_effect = reported_old - reconstructed_old
     model_effect = reconstructed_old - current
     total = data_effect + model_effect
+    if not math.isfinite(total):  # an effect or their sum overflowed
+        raise InvalidStatistic(f"the total change overflows (data effect {data_effect:g}, "
+                               f"model effect {model_effect:g})")
     if total != 0:
         data_share: Optional[float] = data_effect / total
         model_share: Optional[float] = model_effect / total

@@ -20,7 +20,8 @@ the other commands start without numpy's import cost.
 import enum
 import math
 import random
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -182,11 +183,11 @@ class Grouping:
     """A partition of the node set into tiers; ascending group id is tier order.
 
     The builders number tiers 0..k-1 from the strongest down (by the
-    maximum node z inside each group), with isolate singletons last.
+    maximum node z inside each group), with isolates (one member, no edge)
+    last; the graph decides what is an isolate, and ``rank_groups`` reads it.
     """
 
     assignment: Dict[str, int]
-    isolates: frozenset = field(default_factory=frozenset)
 
     def groups(self) -> Tuple[Tuple[str, ...], ...]:
         """Each group's members in name order, by ascending group id, from one pass."""
@@ -236,8 +237,10 @@ def build_graph(
     0 (a pool of 0 or 1, or one that underflows) go through ``link_z``
     itself, in name order: it warns and returns 0 exactly as a pair-by-pair
     loop would. A positive se is at least sqrt(5e-324), so every other z is
-    finite.
+    finite. ``threshold`` must be a finite number > 0, whatever the criterion.
     """
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise InvalidStatistic(f"threshold must be a finite number > 0 (got {threshold!r})")
     if not isinstance(criterion, Criterion):
         raise InvalidStatistic(f"unknown criterion {criterion!r}")
     if proportions not in ("stored", "exact"):
@@ -289,34 +292,39 @@ def build_graph(
     return SignificanceGraph(names, node_z, *(np.concatenate(col) for col in zip(*parts)))
 
 
+def _isolate_labels(g: SignificanceGraph, label: Sequence[int]) -> set:
+    """Isolate tiers: the labels (one per node index) held by one node with no edge."""
+    degree = np.bincount(np.concatenate((g.src, g.dst)), minlength=len(label)).tolist()
+    size = Counter(label)
+    return {c for c, d in zip(label, degree) if not d and size[c] == 1}
+
+
 def _grouping(g: SignificanceGraph, label: Sequence[int]) -> Grouping:
     """Tiers from one label per node index: nodes with equal labels share a tier.
 
-    Tiers are ordered by (isolate last, -max z, name of the top member); an
-    isolate tier is a degree-0 node alone under its label. Index order is
-    name order, so members list by name and ties in z break by name.
+    Tiers are ordered by (isolate last, -max z, name of the top member).
+    Index order is name order, so members list by name and ties in z break
+    by name.
     """
     names, zs = g.names, g.node_z.tolist()
-    degree = np.bincount(np.concatenate((g.src, g.dst)), minlength=len(names)).tolist()
+    isolated = _isolate_labels(g, label)
     tiers: Dict[int, List[int]] = {}
     for k, c in enumerate(label):
         tiers.setdefault(c, []).append(k)
 
-    def sort_key(members):
+    def sort_key(tier):
+        c, members = tier
         top = min(members, key=lambda k: (-zs[k], k))
-        return (len(members) == 1 and not degree[top], -zs[top], top)
+        return (c in isolated, -zs[top], top)
 
-    ordered = sorted(tiers.values(), key=sort_key)
-    return Grouping(
-        assignment={names[k]: gid for gid, members in enumerate(ordered) for k in members},
-        isolates=frozenset(name for name, d in zip(names, degree) if not d),
-    )
+    ordered = sorted(tiers.items(), key=sort_key)
+    return Grouping({names[k]: gid for gid, (_, members) in enumerate(ordered) for k in members})
 
 
 def weak_components(g: SignificanceGraph) -> Grouping:
     """Connected components of the undirected edge set.
 
-    Degree-zero nodes are isolates: their own singleton groups, listed
+    A node without an edge is an isolate: its own singleton group, listed
     after the regular tiers.
 
     Min-label hooking and pointer jumping on the edge arrays.
@@ -341,15 +349,16 @@ def _check_resolution(resolution: float) -> None:
         raise InvalidStatistic(f"resolution must be a finite number >= 0 (got {resolution!r})")
 
 
-def _check_partition(g: SignificanceGraph, grouping: Grouping) -> None:
-    """A partition must name exactly the nodes of ``g``."""
-    missing = [n for n in g.names if n not in grouping.assignment]
+def _group_ids(g: SignificanceGraph, grouping: Grouping) -> List[int]:
+    """Each node index's group id; a partition must name exactly the nodes of ``g``."""
+    assignment = grouping.assignment
+    missing = [n for n in g.names if n not in assignment]
     if missing:
         raise ValueError(f"partition does not cover nodes: {missing[:5]}")
-    if len(grouping.assignment) != len(g.names):
-        nodes = set(g.names)
-        extra = sorted(n for n in grouping.assignment if n not in nodes)
+    if len(assignment) != len(g.names):
+        extra = sorted(set(assignment) - set(g.names))
         raise ValueError(f"partition names nodes the graph lacks: {extra[:5]}")
+    return [assignment[n] for n in g.names]
 
 
 def modularity(
@@ -363,23 +372,19 @@ def modularity(
     a finite number >= 0.
     """
     _check_resolution(resolution)
-    _check_partition(g, partition)
+    label = _group_ids(g, partition)
     m = g.edge_count
     if m == 0:
         return 0.0
     # dense codes for the group ids, so the edge counts are two bincounts
     codes: Dict[int, int] = {}
-    node_code = np.array(
-        [codes.setdefault(partition.assignment[n], len(codes)) for n in g.names],
-        dtype=np.intp,
-    )
+    node_code = np.array([codes.setdefault(c, len(codes)) for c in label], dtype=np.intp)
     ga, gb = node_code[g.src], node_code[g.dst]
     degree_sum = np.bincount(np.concatenate((ga, gb)), minlength=len(codes)).tolist()
     intra = np.bincount(ga[ga == gb], minlength=len(codes)).tolist()
     # the float sum runs over the groups in this set's order, as it always has
     q = 0.0
-    groups = set(partition.assignment[n] for n in g.names)
-    for c in groups:
+    for c in set(label):
         mc = intra[codes[c]]
         dc = degree_sum[codes[c]]
         q += mc / m - resolution * (dc / (2.0 * m)) ** 2
@@ -478,8 +483,9 @@ def cluster(
     Runs seeded local moving with aggregation until no move improves Q by
     more than 1e-12, then keeps whichever of (clustering, weak components)
     scores the higher modularity, so the result is never worse than the
-    plain tier partition. Isolates stay singletons, and every cluster lies
-    inside one weak component. ``resolution`` must be a finite number >= 0.
+    plain tier partition. Isolates (nodes without an edge) stay singletons,
+    listed last, and every cluster lies inside one weak component.
+    ``resolution`` must be a finite number >= 0.
     """
     _check_resolution(resolution)
     weak = weak_components(g)
@@ -495,26 +501,17 @@ def cluster(
 def rank_groups(g: SignificanceGraph, grouping: Grouping) -> Tuple[GroupTable, ...]:
     """Ranked tier tables: per-group rows by descending z plus overall ranks.
 
-    Ranks are 1-based and dense; ties in z order by ascending name, both
-    within groups and overall.
+    Tables are numbered by ascending group id. Ranks are 1-based and dense;
+    ties in z order by ascending name, both within groups and overall. A
+    table is an isolate when its one member has no edge in ``g``.
     """
-    _check_partition(g, grouping)
-    zmap = dict(zip(g.names, g.node_z.tolist()))
-    order = sorted(zmap, key=lambda n: (-zmap[n], n))
-    overall = {name: i + 1 for i, name in enumerate(order)}
-
-    tables = []
-    for gid, members in enumerate(grouping.groups()):
-        members = sorted(members, key=lambda n: (-zmap[n], n))
-        rows = tuple(
-            RankedRow(
-                name=n,
-                z=zmap[n],
-                overall_rank=overall[n],
-                within_group_rank=i + 1,
-            )
-            for i, n in enumerate(members)
-        )
-        is_isolate = len(members) == 1 and members[0] in grouping.isolates
-        tables.append(GroupTable(group=gid, isolate=is_isolate, rows=rows))
-    return tuple(tables)
+    label = _group_ids(g, grouping)
+    isolated = _isolate_labels(g, label)
+    names, zs = g.names, g.node_z.tolist()
+    rows: Dict[int, List[RankedRow]] = {}
+    # one z order gives both ranks: index order is name order
+    for rank, k in enumerate(sorted(range(len(names)), key=lambda k: (-zs[k], k)), 1):
+        tier = rows.setdefault(label[k], [])
+        tier.append(RankedRow(names[k], zs[k], rank, len(tier) + 1))
+    return tuple(GroupTable(group=gid, isolate=c in isolated, rows=tuple(rows[c]))
+                 for gid, c in enumerate(sorted(rows)))

@@ -170,10 +170,7 @@ def test_c8_published_tier_fixture():
         tiers = data.china_tiers()
         graph = SignificanceGraph.from_scores((r.name, r.z) for r in tiers)
         gid = {"top": 0, "middle": 1, "bottom": 2}
-        grouping = Grouping(
-            assignment={r.name: gid[r.tier] for r in tiers},
-            isolates=frozenset(),
-        )
+        grouping = Grouping(assignment={r.name: gid[r.tier] for r in tiers})
         tables = rank_groups(graph, grouping)
 
         published = {
@@ -257,7 +254,7 @@ def _grouping_from_parts(parts):
     for gid, comp in enumerate(parts):
         for name in comp:
             assignment[name] = gid
-    return Grouping(assignment=assignment, isolates=frozenset())
+    return Grouping(assignment=assignment)
 
 
 def _planted_graph(k1, k2):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ranksig
-from ranksig import cli, export
+from ranksig import cli, dynamics, export
 from ranksig.cli import main
 from ranksig.errors import InvariantViolation
 from ranksig.export import render_graph
@@ -553,11 +553,18 @@ class TestErrorPaths:
         (("decompose", "inf", "1", "2"), "decomposition inputs must be finite, got inf"),
         (("bootstrap", "--name", "Peking University", "--draws", "0"),
          "draws must be >= 1, got 0"),
+        (("bootstrap", "--name", "Peking University", "--draws", "10000001"),
+         "draws must be at most 10000000, got 10000001"),
+        (("bootstrap", "--name", "Peking University", "--draws", "1180591620717411303424"),
+         "draws must be at most 10000000, got 1180591620717411303424"),
+        (("decompose", "--", "1e308", "-1e308", "-1e308"),
+         "the total change overflows (data effect inf, model effect 0)"),
         (("bootstrap", "--name", "Peking University", "--coverage", "1.5"),
          "coverage must lie in (0, 1), got 1.5"),
         (("compare", "--labels-a", "labels.csv"),
          "--labels-a and --labels-b must be given together"),
-    ], ids=["decompose-nan", "decompose-inf", "bootstrap-draws", "bootstrap-coverage",
+    ], ids=["decompose-nan", "decompose-inf", "bootstrap-draws", "bootstrap-draws-ceiling",
+            "bootstrap-draws-huge", "decompose-overflow", "bootstrap-coverage",
             "compare-one-labels-file"])
     def test_bad_argument_exit_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -1303,3 +1310,22 @@ class TestExitCodes:
             if every_p_positive and argv[:3] in (("group", "--criterion", "ztest"),
                                                  ("pairwise", "U0", "U1"), ("export",)):
                 assert code == 0, (argv, err)
+
+    # draw counts stay small or above the ceiling, so no example allocates much
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(draws=st.one_of(st.integers(max_value=10 ** 4),
+                           st.integers(min_value=dynamics.MAX_DRAWS + 1)),
+           coverage=st.floats(),
+           values=st.lists(st.floats(min_value=-1e308, max_value=1e308),
+                           min_size=3, max_size=3))
+    def test_bootstrap_and_decompose_only_0_or_2(self, capsys, draws, coverage, values):
+        code, _, err = run(capsys, "bootstrap", "--name", "Peking University",
+                           f"--draws={draws}", f"--coverage={coverage!r}")
+        assert code in (0, 2), err
+        if 1 <= draws <= 10 ** 4 and 0 < coverage < 1:
+            assert code == 0, err
+        code, out, err = run(capsys, "decompose", "--", *map(repr, values))
+        assert code in (0, 2), err
+        if code == 0:
+            assert "inf" not in out and "nan" not in out, out

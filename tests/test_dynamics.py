@@ -1,9 +1,12 @@
+import re
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ranksig.dynamics import bootstrap_interval, decompose_change
+from ranksig.dynamics import MAX_DRAWS, bootstrap_interval, decompose_change
 from ranksig.errors import EmptyInstitution, InvalidStatistic
 
 from conftest import make_record
@@ -48,6 +51,16 @@ class TestDecompose:
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidStatistic):
             decompose_change(float("inf"), 1.0, 2.0)
+
+    @pytest.mark.parametrize("values, effects", [
+        ((1e308, -1e308, -1e308), "data effect inf, model effect 0"),
+        ((-1e308, -1e308, 1e308), "data effect 0, model effect -inf"),
+        ((1e308, 0.0, -1e308), "data effect 1e+308, model effect 1e+308"),
+    ], ids=["data", "model", "total"])
+    def test_overflowing_effect_rejected(self, values, effects):
+        message = f"the total change overflows ({effects})"
+        with pytest.raises(InvalidStatistic, match=f"^{re.escape(message)}$"):
+            decompose_change(*values)
 
 
 class TestBootstrap:
@@ -109,3 +122,15 @@ class TestBootstrap:
             bootstrap_interval(rec, draws=0)
         with pytest.raises(InvalidStatistic):
             bootstrap_interval(rec, coverage=1.0)
+
+    @pytest.mark.parametrize("draws", [MAX_DRAWS + 1, 1180591620717411303424])
+    def test_draws_above_the_ceiling_rejected_before_any_draw(self, draws):
+        rec = make_record(name="U", p=100.0, pp=0.1)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a generator was made for a rejected draw count")
+
+        with mock.patch.object(np.random, "default_rng", fail), \
+                pytest.raises(InvalidStatistic,
+                              match=f"^draws must be at most 10000000, got {draws}$"):
+            bootstrap_interval(rec, draws=draws)

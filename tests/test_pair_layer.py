@@ -9,6 +9,7 @@ cannot be tested.
 """
 
 import math
+import sys
 import warnings
 from unittest import mock
 
@@ -74,6 +75,8 @@ counts = st.one_of(
     st.sampled_from([1.0, 2.0, 10.0, 1000.0, MAX_COUNT, 5e-324]),
     st.floats(min_value=1e-3, max_value=1e7),
 )
+# The largest finite threshold keeps every pair: each z is finite.
+KEEP_ALL = sys.float_info.max
 # Top counts of 0 and p give degenerate pools (pooled proportion 0 or 1).
 fractions = st.one_of(
     st.sampled_from([0.0, 0.1, 0.5, 1.0]),
@@ -108,7 +111,7 @@ def records(draw):
     recs=records(),
     criterion=st.sampled_from(list(Criterion)),
     proportions=st.sampled_from(["stored", "exact"]),
-    threshold=st.sampled_from([1.96, 2.576, 3.29, 0.5, math.inf]),
+    threshold=st.sampled_from([1.96, 2.576, 3.29, 0.5, KEEP_ALL]),
     block_cells=st.sampled_from([1, 7, 1 << 18]),
 )
 def test_vectorised_pass_matches_pair_loop(recs, criterion, proportions, threshold,
@@ -125,6 +128,21 @@ def test_unknown_proportion_mode_raises(count):
     recs = [make_record(name=f"u{i}") for i in range(count)]
     with pytest.raises(InvalidStatistic, match="unknown proportion mode 'bogus'"):
         build_graph(recs, proportions="bogus")
+
+
+@pytest.mark.parametrize("criterion", list(Criterion))
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0])
+def test_invalid_threshold_raises_before_any_work(threshold, criterion):
+    # a NaN or non-positive threshold joins no pair and an infinite one every pair
+    recs = [make_record(name="A", ci=(0.1, 0.2)), make_record(name="B", ci=(0.1, 0.2))]
+
+    def fail(*args):
+        raise AssertionError("a record was read for an invalid threshold")
+
+    message = rf"^threshold must be a finite number > 0 \(got {threshold!r}\)$"
+    with mock.patch.object(siggraph, "z_vs_expectation", fail), \
+            pytest.raises(InvalidStatistic, match=message):
+        build_graph(recs, criterion, threshold)
 
 
 @pytest.mark.parametrize("criterion", ["ci", "ztest", None])
@@ -146,7 +164,7 @@ def test_zero_variance_pairs_match_the_pair_loop(proportions):
             make_record(name="F", p=10.0, t=1e-322, pp=0.0),
             make_record(name="G", p=50.0, t=5.0, pp=0.1),
             make_record(name="H", p=80.0, t=20.0, pp=0.25)]
-    for threshold in (2.576, math.inf):
+    for threshold in (2.576, KEEP_ALL):
         expected = outcome(
             lambda: reference_graph(recs, Criterion.Z_TEST, threshold, proportions))
         got = outcome(lambda: new_graph(recs, Criterion.Z_TEST, threshold, proportions))

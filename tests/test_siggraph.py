@@ -42,6 +42,26 @@ def clique_graph(k1, k2, bridge=True):
     return SignificanceGraph.from_scores(nodes, edges)
 
 
+def name_degree(g):
+    """Each name's edge count, from the GraphEdge list."""
+    degree = dict.fromkeys(g.names, 0)
+    for e in g.edges:
+        degree[e.a] += 1
+        degree[e.b] += 1
+    return degree
+
+
+def isolate_names(g, grouping):
+    """The members of the tables rank_groups marks as isolates."""
+    return frozenset(t.rows[0].name for t in rank_groups(g, grouping) if t.isolate)
+
+
+def assert_isolate_tables(g, grouping, degree):
+    """A table is an isolate exactly when it has one member, of degree 0."""
+    for t in rank_groups(g, grouping):
+        assert t.isolate == (len(t.rows) == 1 and degree[t.rows[0].name] == 0)
+
+
 def random_records(rng, n, prefix="u"):
     return [
         make_record(
@@ -247,18 +267,19 @@ class TestBuildGraph:
 
 class TestWeakComponents:
     def test_trio_example(self, trio):
-        grouping = weak_components(build_graph(trio))
+        g = build_graph(trio)
+        grouping = weak_components(g)
         assert grouping.groups() == (
             ("Peking University", "Zhejiang University"),
             ("Tsinghua University",),
         )
-        assert grouping.isolates == frozenset({"Tsinghua University"})
+        assert isolate_names(g, grouping) == frozenset({"Tsinghua University"})
 
     def test_edgeless_graph_all_isolates(self):
         g = SignificanceGraph.from_scores([(f"n{i}", float(i)) for i in range(5)])
         grouping = weak_components(g)
         assert all(len(c) == 1 for c in grouping.groups())
-        assert len(grouping.isolates) == 5
+        assert len(isolate_names(g, grouping)) == 5
         # isolates sort by descending z like every other group list
         assert grouping.groups() == (("n4",), ("n3",), ("n2",), ("n1",), ("n0",))
 
@@ -268,7 +289,7 @@ class TestWeakComponents:
         )
         grouping = weak_components(g)
         assert grouping.groups() == (("a", "b", "c"),)
-        assert not grouping.isolates
+        assert not isolate_names(g, grouping)
 
     def test_soundness_cross_component_pairs_significant(self):
         # any two institutions in different weak components differ at the threshold
@@ -291,7 +312,7 @@ class TestModularity:
         g = SignificanceGraph.from_scores(
             [(n, 0.0) for n in names], itertools.combinations(names, 2)
         )
-        single = Grouping(assignment={n: 0 for n in names}, isolates=frozenset())
+        single = Grouping(assignment={n: 0 for n in names})
         assert modularity(g, single) == pytest.approx(0.0, abs=1e-12)
         assert modularity(g, single, resolution=2.0) == pytest.approx(-1.0)
 
@@ -304,10 +325,7 @@ class TestModularity:
         rng = np.random.default_rng(13)
         for _ in range(20):
             g = random_graph(rng, max_nodes=20)
-            singles = Grouping(
-                assignment={n: i for i, n in enumerate(g.names)},
-                isolates=frozenset(),
-            )
+            singles = Grouping(assignment={n: i for i, n in enumerate(g.names)})
             assert modularity(g, singles) <= 1e-12
 
     def test_empty_graph_is_zero(self):
@@ -317,14 +335,14 @@ class TestModularity:
 
     def test_uncovered_partition_rejected(self):
         g = SignificanceGraph.from_scores([("a", 1.0), ("b", 2.0)])
-        partial = Grouping(assignment={"a": 0}, isolates=frozenset())
+        partial = Grouping(assignment={"a": 0})
         with pytest.raises(ValueError, match="cover"):
             modularity(g, partial)
 
     def test_partition_naming_a_missing_node_rejected(self):
         # the graph lacks "Z": both readers of a partition refuse it alike
         g = SignificanceGraph.from_scores([("A", 1.0), ("B", 2.0)], [("A", "B")])
-        extra = Grouping(assignment={"A": 0, "B": 0, "Z": 1}, isolates=frozenset())
+        extra = Grouping(assignment={"A": 0, "B": 0, "Z": 1})
         for fn in (modularity, rank_groups):
             with pytest.raises(ValueError, match=r"^partition names nodes the graph "
                                                  r"lacks: \['Z'\]$"):
@@ -377,7 +395,7 @@ class TestCluster:
         )
         grouping = cluster(g, seed=0)
         assert ("lone",) in grouping.groups()
-        assert "lone" in grouping.isolates
+        assert "lone" in isolate_names(g, grouping)
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(47)
@@ -493,12 +511,13 @@ class TestLouvainInvariants:
         assert modularity(g, fine, resolution) >= modularity(g, weak, resolution) - 1e-12
 
 
-def make_grouping(components, node_z, isolates):
+def make_grouping(components, node_z, edgeless):
     """Name-keyed components into a Grouping, non-isolates by max z and
-    isolates last: the reference for _grouping."""
+    isolates (one member, named in ``edgeless``) last: the reference for
+    _grouping."""
     comps = [tuple(sorted(c)) for c in components]
-    regular = [c for c in comps if not (len(c) == 1 and c[0] in isolates)]
-    singles = [c for c in comps if len(c) == 1 and c[0] in isolates]
+    regular = [c for c in comps if not (len(c) == 1 and c[0] in edgeless)]
+    singles = [c for c in comps if len(c) == 1 and c[0] in edgeless]
 
     def sort_key(comp):
         top = min(comp, key=lambda n: (-node_z[n], n))
@@ -509,7 +528,7 @@ def make_grouping(components, node_z, isolates):
     for gid, comp in enumerate(ordered):
         for name in comp:
             assignment[name] = gid
-    return Grouping(assignment=assignment, isolates=isolates)
+    return Grouping(assignment=assignment)
 
 
 def dfs_components(g):
@@ -536,8 +555,8 @@ def dfs_components(g):
                     seen[m] = True
                     stack.append(m)
         components.append(comp)
-    isolates = frozenset(name for k, name in enumerate(names) if not adjacency[k])
-    return make_grouping(components, dict(zip(g.names, g.node_z.tolist())), isolates)
+    edgeless = frozenset(name for k, name in enumerate(names) if not adjacency[k])
+    return make_grouping(components, dict(zip(g.names, g.node_z.tolist())), edgeless)
 
 
 @st.composite
@@ -583,18 +602,23 @@ class TestWeakComponentsOracle:
     @settings(max_examples=300, deadline=None)
     @given(component_graphs())
     def test_planted_components(self, g):
-        assert_same_grouping(weak_components(g), dfs_components(g))
+        grouping = weak_components(g)
+        assert_same_grouping(grouping, dfs_components(g))
+        assert_isolate_tables(g, grouping, name_degree(g))
 
     @settings(max_examples=200, deadline=None)
     @given(graphs())
     def test_random_graphs(self, g):
-        assert_same_grouping(weak_components(g), dfs_components(g))
+        grouping = weak_components(g)
+        assert_same_grouping(grouping, dfs_components(g))
+        assert_isolate_tables(g, grouping, name_degree(g))
 
     @pytest.mark.parametrize("n, seed", [(0, 0), (1, 0), (2, 1), (2000, 2), (2000, 3)])
     def test_long_shuffled_path(self, n, seed):
         g = shuffled_path(n, seed)
         grouping = weak_components(g)
         assert_same_grouping(grouping, dfs_components(g))
+        assert_isolate_tables(g, grouping, name_degree(g))
         assert len(grouping.groups()) == (1 if n else 0)
 
     def test_networkx_connected_components(self):
@@ -610,7 +634,8 @@ class TestWeakComponentsOracle:
             assert set(grouping.groups()) == {
                 tuple(sorted(c)) for c in nx.connected_components(G)
             }
-            assert grouping.isolates == frozenset(n for n, d in G.degree if d == 0)
+            assert isolate_names(g, grouping) == frozenset(n for n, d in G.degree if d == 0)
+            assert_isolate_tables(g, grouping, dict(G.degree))
 
 
 @st.composite
@@ -640,13 +665,12 @@ class TestGroupingBuilder:
         comps = {}
         for name, c in zip(g.names, label):
             comps.setdefault(c, []).append(name)
-        degree = {name: 0 for name in g.names}
-        for e in g.edges:
-            degree[e.a] += 1
-            degree[e.b] += 1
-        isolates = frozenset(name for name, d in degree.items() if not d)
-        assert_same_grouping(_grouping(g, label),
-                             make_grouping(comps.values(), dict(zip(g.names, g.node_z.tolist())), isolates))
+        degree = name_degree(g)
+        edgeless = frozenset(name for name, d in degree.items() if not d)
+        grouping = _grouping(g, label)
+        assert_same_grouping(grouping,
+                             make_grouping(comps.values(), dict(zip(g.names, g.node_z.tolist())), edgeless))
+        assert_isolate_tables(g, grouping, degree)
 
 
 class TestResolution:
@@ -774,8 +798,8 @@ def name_cluster(g, resolution, seed):
     comps = {}
     for n, c in name_louvain(adj, resolution, seed).items():
         comps.setdefault(c, []).append(n)
-    isolates = frozenset(n for n, ns in adj.items() if not ns)
-    louvain_grouping = make_grouping(comps.values(), dict(zip(g.names, g.node_z.tolist())), isolates)
+    edgeless = frozenset(n for n, ns in adj.items() if not ns)
+    louvain_grouping = make_grouping(comps.values(), dict(zip(g.names, g.node_z.tolist())), edgeless)
     weak = weak_components(g)
     if modularity(g, louvain_grouping, resolution) >= modularity(g, weak, resolution):
         return louvain_grouping
@@ -801,7 +825,9 @@ class TestLouvainOracle:
     def check(self, g, resolution, seed):
         want = name_louvain(name_adjacency(g), resolution, seed)
         assert dict(zip(g.names, _louvain(g, resolution, seed))) == want
-        assert_same_grouping(cluster(g, resolution, seed), name_cluster(g, resolution, seed))
+        grouping = cluster(g, resolution, seed)
+        assert_same_grouping(grouping, name_cluster(g, resolution, seed))
+        assert_isolate_tables(g, grouping, name_degree(g))
 
     @settings(max_examples=300, deadline=None)
     @given(graphs(), st.integers(0, 2**32 - 1), st.sampled_from((0.5, 1.0, 2.0)))
@@ -849,16 +875,25 @@ class TestRankGroups:
         assert tables[1].rows[0].name == "big lone"
         assert tables[1].rows[0].overall_rank == 1
 
+    def test_isolates_come_from_the_graph(self):
+        # A-B plus a lone C: a tier is an isolate only when its one member
+        # has no edge, whatever the partition; the one field is the assignment
+        assert [f.name for f in dataclasses.fields(Grouping)] == ["assignment"]
+        g = SignificanceGraph.from_scores([("A", 2.0), ("B", 1.0), ("C", 3.0)], [("A", "B")])
+        apart = rank_groups(g, Grouping({"A": 0, "B": 1, "C": 2}))
+        assert [(t.rows[0].name, t.isolate) for t in apart] == [
+            ("A", False), ("B", False), ("C", True)]
+        joined = rank_groups(g, Grouping({"A": 0, "B": 0, "C": 1}))
+        assert [([r.name for r in t.rows], t.isolate) for t in joined] == [
+            (["A", "B"], False), (["C"], True)]
+
 
 @st.composite
 def groupings(draw):
     """Any assignment: ids may repeat and skip values."""
     names = draw(st.lists(st.text(min_size=1, max_size=3), max_size=20, unique=True))
     ids = st.integers(0, 6)
-    return Grouping(
-        assignment={name: draw(ids) for name in names},
-        isolates=frozenset(draw(st.sets(st.sampled_from(names)))) if names else frozenset(),
-    )
+    return Grouping(assignment={name: draw(ids) for name in names})
 
 
 def scan_members(grouping, gid):
@@ -868,7 +903,9 @@ def scan_members(grouping, gid):
 
 def members_rank_groups(g, grouping):
     """rank_groups with one assignment scan per group id, tables numbered by
-    position in ascending id order: the reference."""
+    position in ascending id order, a table an isolate when its one member
+    has no edge: the reference."""
+    degree = name_degree(g)
     zmap = dict(zip(g.names, g.node_z.tolist()))
     order = sorted(zmap, key=lambda n: (-zmap[n], n))
     overall = {name: i + 1 for i, name in enumerate(order)}
@@ -876,7 +913,7 @@ def members_rank_groups(g, grouping):
     for position, gid in enumerate(sorted(set(grouping.assignment.values()))):
         members = sorted(scan_members(grouping, gid), key=lambda n: (-zmap[n], n))
         rows = tuple(RankedRow(n, zmap[n], overall[n], i + 1) for i, n in enumerate(members))
-        isolate = len(members) == 1 and members[0] in grouping.isolates
+        isolate = len(members) == 1 and degree[members[0]] == 0
         tables.append(GroupTable(group=position, isolate=isolate, rows=rows))
     return tuple(tables)
 
@@ -890,14 +927,25 @@ class TestGroupsOnePass:
         ids = sorted(set(grouping.assignment.values()))
         assert grouping.groups() == tuple(scan_members(grouping, gid) for gid in ids)
 
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_graphs())
+    def test_rank_groups_any_labels(self, graph_and_label):
+        g, label = graph_and_label
+        grouping = Grouping(dict(zip(g.names, label)))
+        assert rank_groups(g, grouping) == members_rank_groups(g, grouping)
+
     def test_rank_groups_many_groups(self):
         rng = np.random.default_rng(3)
         names = [f"n{i:04d}" for i in range(3000)]
-        g = SignificanceGraph.from_scores([(n, float(rng.integers(-20, 20))) for n in names])
+        # every node but names[::60] gets one edge, so singleton tiers with
+        # and without an edge both occur
+        paired = [n for i, n in enumerate(names) if i % 60]
+        g = SignificanceGraph.from_scores([(n, float(rng.integers(-20, 20))) for n in names],
+                                          zip(paired[::2], paired[1::2]))
         grouping = Grouping(
-            assignment={n: int(c) for n, c in zip(names, rng.integers(0, 2000, size=3000))},
-            isolates=frozenset(names[::60]),
-        )
+            {n: int(c) for n, c in zip(names, rng.integers(0, 2000, size=3000))})
         tables = rank_groups(g, grouping)
         assert tables == members_rank_groups(g, grouping)
         assert sum(len(t.rows) for t in tables) == 3000
+        singles = [t.isolate for t in tables if len(t.rows) == 1]
+        assert any(singles) and not all(singles)
