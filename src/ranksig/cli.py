@@ -97,7 +97,7 @@ def _load_records(args) -> List[InstitutionRecord]:
     from .ingest import Counting, DatasetSelector
     _bind("load_records", "select_records")
     countries = None
-    if args.countries:
+    if args.countries is not None:
         countries = frozenset(c.strip() for c in args.countries.split(",") if c.strip())
     counting = Counting.parse(args.counting) if args.counting else None
     selector = DatasetSelector(period=args.period, field=args.field, counting=counting,
@@ -183,6 +183,11 @@ def _matrix_grid(title_col: str, table, matrix=None) -> str:
     return _grid(rows)
 
 
+def _marked(level) -> str:
+    """A significance level as report text: ``<stars> (<label>)``."""
+    return f"{level.stars} ({level.label})"
+
+
 def cmd_pairwise(args) -> int:
     from . import stats
     records = _load_records(args)
@@ -211,7 +216,7 @@ def cmd_pairwise(args) -> int:
             "",
             bold("Chi-square contributions"),
             _matrix_grid("chi2 term", table, terms),
-            f"chi-square = {chi2:.2f}  {chi_level.stars} ({chi_level.label})",
+            f"chi-square = {chi2:.2f}  {_marked(chi_level)}",
             "",
             bold("Standardized residuals"),
             _matrix_grid("residual", table, resid),
@@ -227,12 +232,8 @@ def cmd_pairwise(args) -> int:
         *chi_part,
         "",
         bold("Two-proportion z"),
-        f"z (stored shares) = {z_stored:.3f}  "
-        f"{stats.significance_level(z_stored).stars} "
-        f"({stats.significance_level(z_stored).label})",
-        f"z (exact ratios)  = {z_exact:.3f}  "
-        f"{stats.significance_level(z_exact).stars} "
-        f"({stats.significance_level(z_exact).label})",
+        f"z (stored shares) = {z_stored:.3f}  {_marked(stats.significance_level(z_stored))}",
+        f"z (exact ratios)  = {z_exact:.3f}  {_marked(stats.significance_level(z_exact))}",
     ]
     if a.has_interval and b.has_interval:
         rel = stats.ci_relation(a.interval(), b.interval())
@@ -276,6 +277,8 @@ def _group_tables_text(tables, bold) -> str:
 
 
 def cmd_group(args) -> int:
+    from .siggraph import check_resolution
+    check_resolution(args.resolution)  # under either grouping, before any work
     records = _load_records(args)
     if len(records) < 2:
         raise NoMatch("grouping needs at least two institutions after selection")
@@ -369,7 +372,7 @@ def _compare_report(sides, ranks, heading, bold) -> str:
         bold("Cross-tabulation"),
         _matrix_grid("counts", ct),
         "",
-        f"chi-square = {chi2:.2f} (dof = {dof})  {level.stars} ({level.label})",
+        f"chi-square = {chi2:.2f} (dof = {dof})  {_marked(level)}",
         f"Cramer's V = {v:.3f}",
         f"phi        = {ph:.3f}",
         f"Spearman   = {rho}",

@@ -379,8 +379,8 @@ def load_records(path) -> list:
 def load_labels(path) -> dict:
     """name -> category map from a CSV of name and category columns under a
     header row, read as records are: blank rows are skipped, an error located
-    at a row names the file, and a name given two categories raises
-    DuplicateRecord."""
+    at a row (an empty name or category among them) names the file, and a
+    name given two categories raises DuplicateRecord."""
     def parse(fh) -> dict:
         rows = _rows(io.StringIO(_as_text(fh), newline=""), 0)
         if next(rows, None) is None:
@@ -392,6 +392,8 @@ def load_labels(path) -> dict:
             if len(row) < 2:
                 raise MalformedRow(line_no, "need name and category columns")
             name, category = row[0].strip(), row[1].strip()
+            if not (name and category):
+                raise MalformedRow(line_no, "name and category must not be empty")
             if labels.setdefault(name, category) != category:
                 raise DuplicateRecord(f"{path}: conflicting categories for {name!r}")
         if not labels:

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DuplicateRecord, InvalidStatistic
 from .ingest import InstitutionRecord
 from .stats import (
-    Z_P01,
+    ALPHA_THRESHOLDS,
     ci_relation,  # noqa: F401  the scalar form of build_graph's interval pass
     link_z,
     z_vs_expectation,
@@ -40,6 +40,7 @@ __all__ = [
     "Criterion", "GraphEdge", "SignificanceGraph",
     "Grouping", "RankedRow", "GroupTable",
     "build_graph", "weak_components", "modularity", "cluster", "rank_groups",
+    "check_resolution",
 ]
 
 # Smallest modularity improvement worth a move; also the convergence cutoff.
@@ -220,7 +221,7 @@ _BLOCK_CELLS = 1 << 18
 def build_graph(
     records: Sequence[InstitutionRecord],
     criterion: Criterion = Criterion.Z_TEST,
-    threshold: float = Z_P01,
+    threshold: float = ALPHA_THRESHOLDS[0.01],
     proportions: str = "stored",
 ) -> SignificanceGraph:
     """Connect institutions that are not significantly different.
@@ -344,7 +345,8 @@ def weak_components(g: SignificanceGraph) -> Grouping:
     return _grouping(g, label.tolist())
 
 
-def _check_resolution(resolution: float) -> None:
+def check_resolution(resolution: float) -> None:
+    """Raise InvalidStatistic unless ``resolution`` is a finite number >= 0."""
     if not (math.isfinite(resolution) and resolution >= 0):
         raise InvalidStatistic(f"resolution must be a finite number >= 0 (got {resolution!r})")
 
@@ -371,7 +373,7 @@ def modularity(
     partition into all singletons is never positive. ``resolution`` must be
     a finite number >= 0.
     """
-    _check_resolution(resolution)
+    check_resolution(resolution)
     label = _group_ids(g, partition)
     m = g.edge_count
     if m == 0:
@@ -487,7 +489,7 @@ def cluster(
     listed last, and every cluster lies inside one weak component.
     ``resolution`` must be a finite number >= 0.
     """
-    _check_resolution(resolution)
+    check_resolution(resolution)
     weak = weak_components(g)
     if not g.edge_count:
         return weak

@@ -4,8 +4,10 @@ Implements the chi-square machinery over contingency tables (expected
 values from margin products, cell contributions, standardized residuals),
 the two-proportion z-test with a pooled variance estimate, the
 single-institution test against the 10% reference expectation, the
-star-threshold mapping of z values, and interval overlap/containment
-classification.
+significance ladder and interval overlap/containment classification.
+``ALPHA_THRESHOLDS`` is the one ladder (alpha -> two-sided |z| cut, weakest
+first): both level functions, the stars, the labels and the graph's
+default cut read it.
 
 All operations are pure functions of immutable inputs and evaluate over
 reals: fractional counting produces non-integer counts, so the usual
@@ -32,7 +34,7 @@ from .errors import (
 from .ingest import InstitutionRecord
 
 __all__ = [
-    "Z_P05", "Z_P01", "Z_P001", "ALPHA_THRESHOLDS", "threshold_for_alpha",
+    "ALPHA_THRESHOLDS", "threshold_for_alpha",
     "SignificanceLevel", "ContingencyTable",
     "RelationKind", "Direction", "IntervalRelation",
     "expected_table", "chi_square_terms", "chi_square",
@@ -41,12 +43,9 @@ __all__ = [
     "ci_relation", "pair_table", "link_z",
 ]
 
-# Two-sided z thresholds for the three conventional significance levels.
-Z_P05 = 1.96
-Z_P01 = 2.576
-Z_P001 = 3.29
-
-ALPHA_THRESHOLDS = {0.05: Z_P05, 0.01: Z_P01, 0.001: Z_P001}
+# alpha -> two-sided |z| cut for the three conventional significance
+# levels, weakest first: the cuts rise as alpha falls.
+ALPHA_THRESHOLDS = {0.05: 1.96, 0.01: 2.576, 0.001: 3.29}
 
 
 def threshold_for_alpha(alpha: float) -> float:
@@ -59,7 +58,8 @@ def threshold_for_alpha(alpha: float) -> float:
 
 
 class SignificanceLevel(enum.IntEnum):
-    """Significance class of a statistic; comparable by strength."""
+    """Significance class of a statistic; comparable by strength. Level k > 0
+    is the k-th entry of ``ALPHA_THRESHOLDS``."""
 
     NOT_SIGNIFICANT = 0
     P05 = 1
@@ -68,11 +68,13 @@ class SignificanceLevel(enum.IntEnum):
 
     @property
     def stars(self) -> str:
-        return ("", "*", "**", "***")[int(self)]
+        return "*" * self
 
     @property
     def label(self) -> str:
-        return ("n.s.", "p < .05", "p < .01", "p < .001")[int(self)]
+        if not self:
+            return "n.s."
+        return "p < " + str(list(ALPHA_THRESHOLDS)[self - 1]).lstrip("0")
 
 
 @dataclass(frozen=True)
@@ -254,21 +256,14 @@ def z_vs_expectation(rec: InstitutionRecord) -> float:
 
 
 def significance_level(z: float) -> SignificanceLevel:
-    """Map |z| through the 1.96 / 2.576 / 3.29 thresholds.
+    """The level whose number is the count of ``ALPHA_THRESHOLDS`` cuts |z| reaches.
 
-    Boundaries are inclusive on the more-significant side: |z| = 1.96 is
-    already P05. Monotone in |z| and invariant under sign flip.
+    Boundaries are inclusive on the more-significant side: |z| at the 0.05
+    cut is already P05. Monotone in |z| and invariant under sign flip.
     """
     if math.isnan(z):
         raise InvalidStatistic("z is NaN")
-    a = abs(z)
-    if a >= Z_P001:
-        return SignificanceLevel.P001
-    if a >= Z_P01:
-        return SignificanceLevel.P01
-    if a >= Z_P05:
-        return SignificanceLevel.P05
-    return SignificanceLevel.NOT_SIGNIFICANT
+    return SignificanceLevel(sum(abs(z) >= cut for cut in ALPHA_THRESHOLDS.values()))
 
 
 def _chi2_sf(x: float, dof: int) -> float:
@@ -297,7 +292,8 @@ def _chi2_sf(x: float, dof: int) -> float:
 
 
 def chi_square_level(chi2_value: float, dof: int) -> SignificanceLevel:
-    """Significance class of a chi-square value at the given degrees of freedom.
+    """Significance class of a chi-square value at the given degrees of freedom:
+    the count of ``ALPHA_THRESHOLDS`` alphas at or above its upper-tail p.
 
     ``dof`` must be an integer (a float such as 3.0 is rejected).
     """
@@ -308,13 +304,7 @@ def chi_square_level(chi2_value: float, dof: int) -> SignificanceLevel:
     if dof < 1:
         raise InvalidStatistic(f"degrees of freedom must be >= 1, got {dof}")
     p = _chi2_sf(chi2_value, dof)
-    if p <= 0.001:
-        return SignificanceLevel.P001
-    if p <= 0.01:
-        return SignificanceLevel.P01
-    if p <= 0.05:
-        return SignificanceLevel.P05
-    return SignificanceLevel.NOT_SIGNIFICANT
+    return SignificanceLevel(sum(p <= alpha for alpha in ALPHA_THRESHOLDS))
 
 
 def ci_relation(

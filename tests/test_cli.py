@@ -116,10 +116,13 @@ class TestGroup:
         assert code == 0
         assert "Tsinghua University" in out_file.read_text()
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-    def test_resolution_outside_the_range_exit_2(self, capsys, tmp_path, value):
+    @pytest.mark.parametrize("grouping, value", [
+        *(pytest.param("modularity", v, id=v) for v in ("nan", "inf", "-1")),
+        *(pytest.param("components", v, id=f"components-{v}") for v in ("nan", "inf", "-1")),
+    ])
+    def test_resolution_outside_the_range_exit_2(self, capsys, tmp_path, grouping, value):
         out_file = tmp_path / "m.csv"
-        code, out, err = run(capsys, "group", "--grouping", "modularity",
+        code, out, err = run(capsys, "group", "--grouping", grouping,
                              "--resolution", value, "--out", str(out_file))
         assert code == 2
         assert err == ("ranksig: error: resolution must be a finite number >= 0 "
@@ -407,6 +410,12 @@ class TestErrorPaths:
         assert code == 2
         assert "no records match" in err
 
+    @pytest.mark.parametrize("countries", ["", ","], ids=["empty", "comma"])
+    def test_empty_country_list_matches_nothing(self, capsys, countries):
+        code, out, err = run(capsys, "zcurve", "--countries", countries)
+        assert (code, out) == (2, "")
+        assert err == "ranksig: error: no records match selector: countries={}\n"
+
     # the reader turns text into values and the record judges them: a row's
     # value defect reads as building that record in Python does, after its
     # line and file
@@ -514,7 +523,10 @@ class TestErrorPaths:
         (b"\xff\xfe", 1),
         (b'name,category\nx1,cat\n"' + b"a" * 140_000 + b"\n", 3),
         (b'name,category\n"Two\nLines U",cat\nlonely\n', 4),
-    ], ids=["not-utf8", "overlong-field", "after-quoted-line-break"])
+        (b"name,category\nx1,cat\n,x\n", 3),
+        (b"name,category\nx1,cat\nC, \n", 3),
+    ], ids=["not-utf8", "overlong-field", "after-quoted-line-break", "empty-name",
+            "empty-category"])
     def test_bad_labels_file_names_its_line(self, capsys, tmp_path, labels, line):
         bad, ok = tmp_path / "bad.csv", tmp_path / "ok.csv"
         bad.write_bytes(labels)
@@ -599,6 +611,17 @@ class TestOptions:
             name: tuple(s for action in p._actions for s in action.option_strings)
             for name, p in commands.choices.items()
         } == OPTIONS
+
+    def test_alpha_choices_are_the_ladder(self):
+        """--alpha spells its choices out, so that decompose loads no stats;
+        they are the ALPHA_THRESHOLDS alphas, in order."""
+        from ranksig import stats
+        (commands,) = (a for a in cli._build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+        for name in ("group", "compare", "export"):
+            (alpha,) = (a for a in commands.choices[name]._actions
+                        if "--alpha" in a.option_strings)
+            assert list(alpha.choices) == [str(a) for a in stats.ALPHA_THRESHOLDS], name
 
     @pytest.mark.parametrize("argv", [
         ("compare", "--seed", "3"),
@@ -975,6 +998,26 @@ class TestPublicSurface:
             read.update(_names_read(code))
         exported = {name for names in ranksig._EXPORTS.values() for name in names}
         assert sorted(exported - read) == []
+
+    def test_ladder_cuts_are_written_once(self):
+        """The |z| cuts 1.96, 2.576 and 3.29 appear as literals in the package
+        only in the one ALPHA_THRESHOLDS entry."""
+        src = Path(__file__).resolve().parents[1] / "src" / "ranksig"
+        cuts = {1.96, 2.576, 3.29}
+        table, stray = [], []
+        for path in sorted(src.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            inside = {id(node) for owner in ast.walk(tree)
+                      if isinstance(owner, ast.Assign)
+                      and any(getattr(t, "id", None) == "ALPHA_THRESHOLDS" for t in owner.targets)
+                      for node in ast.walk(owner)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Constant) and isinstance(node.value, float) \
+                        and node.value in cuts:
+                    where = f"{path.relative_to(src)}:{node.lineno}: {node.value!r}"
+                    (table if id(node) in inside else stray).append(where)
+        assert stray == []
+        assert len(table) == len(cuts) and all(w.startswith("stats.py:") for w in table)
 
     def test_no_private_name_crosses_a_module(self):
         """No module of the package imports a ``_`` name from another: a rule
