@@ -9,8 +9,9 @@ institutions, empty selections, selections spanning more than one
 (period, field, counting) slice), 1 on internal errors. Machine-readable
 output goes to ``--out`` or stdout; log lines go to stderr, never mixed
 into the data stream. Given identical inputs, flags, and seed, emitted
-files are byte-identical across runs. Set ``RANKSIG_NO_COLOR`` to disable
-ANSI styling of terminal reports.
+files are byte-identical across runs. A report is the same bytes whether
+stdout is a terminal, a pipe or a file, and a process writes stdout as UTF-8
+whatever the locale.
 
 A command imports the library modules it runs when it runs: start-up
 costs only this module, ``errors`` and ``export``.
@@ -63,17 +64,6 @@ def _bind(*names: str) -> None:
 
 
 # ---------------------------------------------------------------- helpers
-
-def _styler(plain: bool):
-    enabled = (
-        not plain
-        and sys.stdout.isatty()
-        and not os.environ.get("RANKSIG_NO_COLOR")
-    )
-    if enabled:
-        return lambda s: f"\x1b[1m{s}\x1b[0m"
-    return lambda s: s
-
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
@@ -194,7 +184,6 @@ def cmd_pairwise(args) -> int:
     a = _find(records, args.a)
     b = _find(records, args.b)
 
-    bold = _styler(plain=bool(args.out))
     # before the table, so that an institution with no papers is named
     z_stored = stats.link_z(a, b, "stored")
     z_exact = stats.link_z(a, b, "exact")
@@ -211,27 +200,27 @@ def cmd_pairwise(args) -> int:
     else:
         chi_level = stats.chi_square_level(chi2, (len(table.rows) - 1) * (len(table.cols) - 1))
         chi_part = [
-            bold("Expected counts"),
+            "Expected counts",
             _matrix_grid("expected", stats.expected_table(table)),
             "",
-            bold("Chi-square contributions"),
+            "Chi-square contributions",
             _matrix_grid("chi2 term", table, terms),
             f"chi-square = {chi2:.2f}  {_marked(chi_level)}",
             "",
-            bold("Standardized residuals"),
+            "Standardized residuals",
             _matrix_grid("residual", table, resid),
         ]
 
     parts = [
-        bold(f"Pairwise comparison: {a.name} vs {b.name}"),
+        f"Pairwise comparison: {a.name} vs {b.name}",
         f"period={a.period}  field={a.field}  counting={a.counting.value}",
         "",
-        bold("Observed counts"),
+        "Observed counts",
         _matrix_grid("observed", table),
         "",
         *chi_part,
         "",
-        bold("Two-proportion z"),
+        "Two-proportion z",
         f"z (stored shares) = {z_stored:.3f}  {_marked(stats.significance_level(z_stored))}",
         f"z (exact ratios)  = {z_exact:.3f}  {_marked(stats.significance_level(z_exact))}",
     ]
@@ -242,7 +231,7 @@ def cmd_pairwise(args) -> int:
             detail += f" ({rel.direction.value})"
         parts += [
             "",
-            bold("Stability intervals"),
+            "Stability intervals",
             f"{a.name}: [{a.ci_lower:g}, {a.ci_upper:g}]",
             f"{b.name}: [{b.ci_lower:g}, {b.ci_upper:g}]",
             f"relation: {detail}",
@@ -263,11 +252,11 @@ def _group_tables_csv(tables) -> str:
     return "".join(lines)
 
 
-def _group_tables_text(tables, bold) -> str:
+def _group_tables_text(tables) -> str:
     parts = []
     for t in tables:
         title = f"Isolate (group {t.group + 1})" if t.isolate else f"Group {t.group + 1}"
-        parts.append(bold(f"== {title} =="))
+        parts.append(f"== {title} ==")
         rows = [["name", "within", "overall", "z"]]
         for r in t.rows:
             rows.append([r.name, str(r.within_group_rank), str(r.overall_rank), f"{r.z:.3f}"])
@@ -298,10 +287,7 @@ def cmd_group(args) -> int:
         file=sys.stderr,
     )
 
-    if args.out:
-        _emit(_group_tables_csv(tables), args.out)
-    else:
-        _emit(_group_tables_text(tables, _styler(plain=False)), None)
+    _emit(_group_tables_csv(tables) if args.out else _group_tables_text(tables), args.out)
 
     if args.graph_out:
         write_graph(graph, args.format, args.graph_out)
@@ -342,7 +328,7 @@ def _two_categories(sides, shared) -> None:
         )
 
 
-def _compare_report(sides, ranks, heading, bold) -> str:
+def _compare_report(sides, ranks, heading) -> str:
     """The report on two labellings; ``ranks`` holds each side's category ->
     rank map, or None for a side whose categories have no order."""
     from . import compare as cmp_mod, stats
@@ -366,10 +352,10 @@ def _compare_report(sides, ranks, heading, bold) -> str:
         rho = f"{cmp_mod.spearman(xs, ys):.3f}"
 
     parts = [
-        bold(heading),
+        heading,
         f"{len(shared)} shared institutions",
         "",
-        bold("Cross-tabulation"),
+        "Cross-tabulation",
         _matrix_grid("counts", ct),
         "",
         f"chi-square = {chi2:.2f} (dof = {dof})  {_marked(level)}",
@@ -388,7 +374,8 @@ def cmd_compare(args) -> int:
     if args.labels_a or args.labels_b:
         if not (args.labels_a and args.labels_b):
             raise RanksigError("--labels-a and --labels-b must be given together")
-        unread = ["--" + dest.replace("_", "-") for dest in _RECORD_FLAGS if getattr(args, dest)]
+        unread = ["--" + dest.replace("_", "-") for dest in _RECORD_FLAGS
+                  if getattr(args, dest) not in (None, False)]
         if unread:
             raise RanksigError(f"--labels-a and --labels-b compare two label files; "
                                f"they do not read {', '.join(unread)}")
@@ -421,7 +408,7 @@ def cmd_compare(args) -> int:
         ]
         ranks = (ranks_a, ranks_b)
         heading = f"Association: {args.criterion} tiers vs {args.criterion_b} tiers"
-    _emit(_compare_report(sides, ranks, heading, _styler(plain=bool(args.out))), args.out)
+    _emit(_compare_report(sides, ranks, heading), args.out)
     return 0
 
 
@@ -430,13 +417,12 @@ def cmd_compare(args) -> int:
 def cmd_decompose(args) -> int:
     from . import dynamics
     d = dynamics.decompose_change(args.reported_old, args.reconstructed_old, args.current)
-    bold = _styler(plain=bool(args.out))
 
     def share(s: Optional[float]) -> str:
         return "undefined" if s is None else f"{100.0 * s:.1f}%"
 
     parts = [
-        bold("Change decomposition"),
+        "Change decomposition",
         f"reported old value      : {d.reported_old:g}",
         f"reconstructed old value : {d.reconstructed_old:g}",
         f"current value           : {d.current:g}",
@@ -458,9 +444,8 @@ def cmd_bootstrap(args) -> int:
     interval = dynamics.bootstrap_interval(
         rec, draws=args.draws, coverage=args.coverage, seed=args.seed
     )
-    bold = _styler(plain=bool(args.out))
     parts = [
-        bold(f"Stability interval: {rec.name}"),
+        f"Stability interval: {rec.name}",
         f"point estimate : {interval.point:g}",
         f"interval       : [{interval.lower:g}, {interval.upper:g}]",
         f"width          : {interval.width:g}",
@@ -630,7 +615,9 @@ def main(argv=None) -> int:
 
 def _entry() -> int:
     """Process entry (``python -m ranksig.cli`` and the console script): ``main``
-    with one BLAS thread and the cyclic collector off, then the heap frozen.
+    with stdout in UTF-8 whatever the locale (a name outside its encoding is
+    written, not an internal error), one BLAS thread and the cyclic collector
+    off, then the heap frozen.
 
     ranksig runs no BLAS code, but numpy's OpenBLAS starts one thread per core
     when it loads, and the idle pool costs CPU in every call; a value the user
@@ -641,9 +628,11 @@ def _entry() -> int:
     a 1,000-institution graph call) free almost nothing. Finalisation still
     collects with the collector off; freezing first makes those collections
     skip every object the run left behind (numpy's import alone makes about
-    20k). ``main`` itself changes neither: tests and benchmarks call it
-    in-process."""
+    20k). ``main`` itself changes none of these: tests and benchmarks call it
+    in-process with their own stdout."""
     import gc
+    if sys.stdout is not None:  # None when the shell closed it; --out needs none
+        sys.stdout.reconfigure(encoding="utf-8")
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     gc.disable()
     status = main()

@@ -549,7 +549,12 @@ class TestErrorPaths:
         (("--countries", "CN"), "--countries"),
         (("--countries", "CN", "--input", "x.csv", "--split-by-country"),
          "--split-by-country, --input, --countries"),
-    ], ids=["split-by-country", "input", "period", "field", "counting", "countries", "three"])
+        # an empty value is still a flag given
+        (("--countries", ""), "--countries"),
+        (("--period", ""), "--period"),
+        (("--field", ""), "--field"),
+    ], ids=["split-by-country", "input", "period", "field", "counting", "countries", "three",
+            "countries-empty", "period-empty", "field-empty"])
     def test_labels_mode_rejects_record_flags(self, capsys, tmp_path, flags, named):
         labels = tmp_path / "labels.csv"
         labels.write_text("name,category\nx1,cat\nx2,dog\n")
@@ -680,14 +685,11 @@ class TestLineBreakInName:
         assert self.NAME in [row[2] for row in self._rows(out, 4)]
 
 
-def _child_env(no_color="1"):
-    """Environment of a new process that imports this checkout of ranksig;
-    RANKSIG_NO_COLOR is ``no_color``, or unset when that is None."""
+def _child_env():
+    """Environment of a new process that imports this checkout of ranksig."""
     src = str(Path(ranksig.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "RANKSIG_NO_COLOR"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    if no_color is not None:
-        env["RANKSIG_NO_COLOR"] = no_color
     return env
 
 
@@ -699,15 +701,15 @@ def _python(*args, cwd=None):
     )
 
 
-def _on_a_terminal(*argv, no_color=None):
-    """stdout of ``ranksig *argv`` in a new process whose stdout is a pseudo-terminal."""
+def _on_a_terminal(*argv, env):
+    """stdout of ``ranksig *argv`` in a new process with environment ``env``
+    whose stdout is a pseudo-terminal."""
     main_fd, child_fd = pty.openpty()
     try:
         try:
             # the trio's reports are far smaller than the terminal's buffer
             subprocess.run([sys.executable, "-m", "ranksig.cli", *argv], stdout=child_fd,
-                           stderr=subprocess.DEVNULL, env=_child_env(no_color), timeout=120,
-                           check=True)
+                           stderr=subprocess.DEVNULL, env=env, timeout=120, check=True)
         finally:
             os.close(child_fd)
         chunks = []
@@ -721,26 +723,65 @@ def _on_a_terminal(*argv, no_color=None):
             chunks.append(chunk)
     finally:
         os.close(main_fd)
-    return b"".join(chunks).decode("utf-8")
+    return b"".join(chunks)
 
 
-class TestColor:
-    """Bold headings on a terminal; RANKSIG_NO_COLOR and --out turn them off."""
+def _piped(*argv, env):
+    """stdout of ``ranksig *argv`` in a new process with environment ``env``."""
+    result = subprocess.run([sys.executable, "-m", "ranksig.cli", *argv], env=env,
+                            capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
-    def test_terminal_report_is_bold(self):
-        assert "\x1b[1m== Group 1 ==\x1b[0m" in _on_a_terminal("group")
 
-    def test_no_color_setting(self):
-        out = _on_a_terminal("group", no_color="1")
-        assert "== Group 1 ==" in out and "\x1b" not in out
+class TestStdoutBytes:
+    """A report is one byte string: the same on a terminal as in a pipe,
+    whatever the environment, and UTF-8 whatever the locale."""
 
-    def test_out_file_is_plain(self, tmp_path):
-        argv = ("pairwise", "Peking University", "Zhejiang University")
-        assert "\x1b[1m" in _on_a_terminal(*argv)
+    @pytest.mark.parametrize("no_color", [None, "1"], ids=["unset", "no-color"])
+    @pytest.mark.parametrize("argv", [
+        ("group",),
+        ("pairwise", "Peking University", "Zhejiang University"),
+    ], ids=["group", "pairwise"])
+    def test_terminal_bytes_are_the_pipe_bytes(self, argv, no_color):
+        env = {k: v for k, v in _child_env().items() if k != "RANKSIG_NO_COLOR"}
+        if no_color is not None:
+            env["RANKSIG_NO_COLOR"] = no_color
+        shown = _on_a_terminal(*argv, env=env)
+        assert b"\x1b" not in shown
+        # the terminal itself turns each \n into \r\n
+        assert shown.replace(b"\r\n", b"\n") == _piped(*argv, env=env)
+
+    NAMES = {"Peking University": "北京大学", "Zhejiang University": "Universität Zhejiang"}
+
+    @pytest.mark.parametrize("argv", [
+        ("group",),
+        ("zcurve",),
+        ("export", "--format", "csv"),
+        ("pairwise", *NAMES.values()),
+    ], ids=["group", "zcurve", "export", "pairwise"])
+    def test_utf8_whatever_the_locale(self, tmp_path, argv):
+        # the trio's only edge joins the two renamed institutions
+        records = [dataclasses.replace(r, name=self.NAMES.get(r.name, r.name))
+                   for r in ranksig.data.trio_records()]
+        path = tmp_path / "names.csv"
+        path.write_text(dump_records(records), encoding="utf-8")
+        out = {encoding: _piped(*argv, "--input", str(path),
+                                env={**_child_env(), "PYTHONIOENCODING": encoding})
+               for encoding in ("ascii", "utf-8")}
+        assert out["ascii"] == out["utf-8"]
+        assert all(name.encode("utf-8") in out["ascii"] for name in self.NAMES.values())
+
+    def test_closed_stdout_with_out_file(self, tmp_path):
+        # the process starts with no stdout at all; the report goes to the file
         report = tmp_path / "report.txt"
-        _on_a_terminal(*argv, "--out", str(report))
-        text = report.read_text(encoding="utf-8")
-        assert "Two-proportion z" in text and "\x1b" not in text
+        result = subprocess.run(
+            [sys.executable, "-m", "ranksig.cli", "decompose", "9.81", "9.54", "9.03",
+             "--out", str(report)],
+            env=_child_env(), stderr=subprocess.PIPE, timeout=120,
+            preexec_fn=lambda: os.close(1))
+        assert result.returncode == 0, result.stderr
+        assert report.read_text(encoding="utf-8").startswith("Change decomposition\n")
 
 
 def _loaded_after(statement):
@@ -1018,6 +1059,34 @@ class TestPublicSurface:
                     (table if id(node) in inside else stray).append(where)
         assert stray == []
         assert len(table) == len(cuts) and all(w.startswith("stats.py:") for w in table)
+
+    def test_environment_is_read_only_by_the_process_entry(self):
+        """No module of the package reads the process environment (``os.environ``
+        or ``os.getenv``) outside ``cli._entry``, so no output byte depends on
+        an environment variable."""
+        src = Path(__file__).resolve().parents[1] / "src" / "ranksig"
+        readers = {"environ", "environb", "getenv", "getenvb"}
+        entry, stray = [], []
+        for path in sorted(src.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            inside = {id(node) for owner in tree.body
+                      if path.name == "cli.py" and isinstance(owner, ast.FunctionDef)
+                      and owner.name == "_entry"
+                      for node in ast.walk(owner)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                where = [f"{path.relative_to(src)}:{node.lineno}: {n}"
+                         for n in names if n in readers]
+                (entry if id(node) in inside else stray).extend(where)
+        assert stray == []
+        assert len(entry) == 1 and entry[0].startswith("cli.py:")
 
     def test_no_private_name_crosses_a_module(self):
         """No module of the package imports a ``_`` name from another: a rule
