@@ -6,6 +6,18 @@ of ``_EDGE_BLOCK`` edges, which needs no block before it, and the text
 after the edges. ``render_graph`` joins them into a string, and
 ``write_graph`` streams them to a file or stdout one block at a time, so
 memory stays bounded by a block whatever the edge count.
+
+vjson link strengths come from a numpy kernel (``_jsonfloat``): for each
+value in [1e-4, 1e16) it proves repr's shortest round-trip digits by exact
+double-double scaling, and it writes 0.0 as ``0.0``. Every other value,
+and every value whose digits it cannot prove, goes to ``json.dumps``, so
+the bytes are those json writes.
+
+A block holds 2,048 edges. Writing 179,700 vjson edges peaks at 0.41 MB
+traced with 1,024-edge blocks, 0.74 MB with 2,048 and 1.40 MB with 4,096;
+on the 142,140 edges of a 1,000-institution edition, on a shared 2-core
+machine, 2,048 took about 10% less time than 1,024, and 4,096 about 2%
+less than 2,048.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ if TYPE_CHECKING:
 
 __all__ = ["GRAPH_FORMATS", "render_graph", "write_graph"]
 
-_EDGE_BLOCK = 1 << 10  # edges per block
+_EDGE_BLOCK = 1 << 11  # edges per block (see the module docstring)
 
 
 def _fill(template: str, *columns: list) -> str:
@@ -48,8 +60,11 @@ def _dot(g: SignificanceGraph):
 
 
 def _pajek(g: SignificanceGraph):
-    """Pajek network: *Vertices with 1-based ids, then *Edges with |z| weights."""
-    labels = [name.replace('"', "'") for name in g.names]
+    """Pajek network: *Vertices with 1-based ids, then *Edges with |z| weights.
+
+    A label writes ``"`` as ``'`` and a line break as a space, so that each
+    vertex stays on its line."""
+    labels = [name.replace('"', "'").replace("\r", " ").replace("\n", " ") for name in g.names]
 
     def block(s: slice) -> str:
         return _fill("%d %d %.6f\n", (g.src[s] + 1).tolist(), (g.dst[s] + 1).tolist(),
@@ -60,22 +75,51 @@ def _pajek(g: SignificanceGraph):
 
 
 _VJSON_ITEM = ',\n      {\n        "id": %d,\n        "label": %s,\n        "weight": %s\n      }'
-_VJSON_LINK = (',\n      {\n        "source_id": %d,\n        "strength": %s,'
-               '\n        "target_id": %d\n      }')
+# a link's text around its source id, strength and target id
+_VJSON_LINK = (b',\n      {\n        "source_id": ', b',\n        "strength": ',
+               b',\n        "target_id": ', b'\n      }')
+
+
+def _text_rows(count: int, *columns) -> str:
+    """``count`` rows of text, each the concatenation of ``columns``: a bytes
+    constant, or a uint8 matrix of ``count`` rows of NUL-padded ASCII. The
+    NULs are dropped."""
+    import numpy as np
+
+    widths = [len(col) if isinstance(col, bytes) else col.shape[1] for col in columns]
+    text = bytearray(count * sum(widths))
+    np.concatenate([np.broadcast_to(np.frombuffer(col, np.uint8), (count, width))
+                    if isinstance(col, bytes) else col for col, width in zip(columns, widths)],
+                   axis=1, out=np.frombuffer(text, np.uint8).reshape(count, -1))
+    text = text.translate(None, b"\0")  # drops the padded matrix before decoding
+    return text.decode("ascii")
 
 
 def _vjson(g: SignificanceGraph):
     """Viewer-compatible network JSON: items weighted by node z, links by |z|.
 
     The text is what ``json.dumps(doc, indent=2, sort_keys=True)`` writes
-    for the document, filled into a fixed template.
+    for the document, filled into a fixed template. A block of links is one
+    byte matrix, a row per link: the template's text, the 1-based node ids
+    from a table of NUL-padded ids, and each strength |z| as ``float_rows``
+    writes it; its NULs are dropped in one pass and the rest decoded as
+    ASCII. numpy and the kernel are imported here, not with the module, so
+    that ``import ranksig.cli`` neither loads numpy nor compiles the kernel.
     """
     import json
 
+    import numpy as np
+
+    from ._jsonfloat import float_rows
+
+    ids = np.array([b"%d" % i for i in range(1, len(g.names) + 1)], dtype="S")
+    ids = ids.view(np.uint8).reshape(len(ids), ids.itemsize)
+
     def block(s: slice) -> str:
-        # json writes repr for finite floats and NaN/Infinity otherwise, in one C pass
-        links = _fill(_VJSON_LINK, (g.src[s] + 1).tolist(),
-                      json.dumps(abs(g.z[s]).tolist())[1:-1].split(", "), (g.dst[s] + 1).tolist())
+        src, dst = g.src[s], g.dst[s]
+        links = _text_rows(len(src), _VJSON_LINK[0], ids[src], _VJSON_LINK[1],
+                           float_rows(np.abs(g.z[s])), _VJSON_LINK[2], ids[dst],
+                           _VJSON_LINK[3])
         return "[" + links[1:] if s.start == 0 else links
     # every entry starts with a comma; the first one of a list opens it instead
     items = _fill(_VJSON_ITEM, list(range(1, len(g.names) + 1)),

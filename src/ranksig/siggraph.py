@@ -131,7 +131,9 @@ class SignificanceGraph:
         edge without z gets 0.0, and no edge is strong. Edges are checked in
         input order: an edge of other than 2 or 3 items, a self-edge, an
         endpoint that is not a node, and a pair given twice (in either
-        orientation) raise ValueError.
+        orientation) raise ValueError, and a NaN edge z raises
+        InvalidStatistic (the vjson file would hold a bare NaN); +-inf is
+        kept.
         """
         nodes = sorted((name, float(z)) for name, z in scores)
         names = tuple(name for name, _ in nodes)
@@ -154,6 +156,8 @@ class SignificanceGraph:
             if (i, j) in pair_z:
                 raise ValueError(f"duplicate edge ({names[i]!r}, {names[j]!r})")
             pair_z[i, j] = float(z[0]) if z else 0.0
+            if math.isnan(pair_z[i, j]):
+                raise InvalidStatistic(f"edge ({a!r}, {b!r}): z is NaN")
         pairs = sorted(pair_z)
         return cls(
             names,

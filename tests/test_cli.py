@@ -647,14 +647,18 @@ class TestLineBreakInName:
 
     NAME = "Uni\rY"
 
-    @pytest.fixture
-    def edition(self, tmp_path):
+    @staticmethod
+    def _edition(tmp_path, name):
         # Peking University is on the trio's only edge
-        records = [dataclasses.replace(r, name=self.NAME) if r.name == "Peking University"
+        records = [dataclasses.replace(r, name=name) if r.name == "Peking University"
                    else r for r in ranksig.data.trio_records()]
         path = tmp_path / "cr.csv"
         path.write_text(dump_records(records), encoding="utf-8")
         return str(path)
+
+    @pytest.fixture
+    def edition(self, tmp_path):
+        return self._edition(tmp_path, self.NAME)
 
     @staticmethod
     def _rows(path, width):
@@ -683,6 +687,24 @@ class TestLineBreakInName:
         code, _, _ = run(capsys, "zcurve", "--input", edition, "--out", str(out))
         assert code == 0
         assert self.NAME in [row[2] for row in self._rows(out, 4)]
+
+    @pytest.mark.parametrize("name, label", [(NAME, "Uni Y"), ("Uni\nA", "Uni A"),
+                                             ("B\r\nX", "B  X")])
+    def test_export_pajek(self, capsys, tmp_path, name, label):
+        # a Pajek label is one line: a line break in it is written as a space
+        out = tmp_path / "g.net"
+        code, _, _ = run(capsys, "export", "--input", self._edition(tmp_path, name),
+                         "--format", "pajek", "--out", str(out))
+        assert code == 0
+        lines = out.read_bytes().decode("utf-8").splitlines()
+        assert len(lines) == 1 + 3 + 1 + 1  # *Vertices, 3 vertices, *Edges, 1 edge
+        assert (lines[0], lines[4]) == ("*Vertices 3", "*Edges")
+        assert {line.split(" ", 1)[1] for line in lines[1:4]} == {
+            f'"{label}"', '"Tsinghua University"', '"Zhejiang University"'}
+        nx = pytest.importorskip("networkx")
+        graph = nx.read_pajek(out)
+        assert sorted(graph.nodes) == sorted([label, "Tsinghua University", "Zhejiang University"])
+        assert [set(edge) for edge in graph.edges()] == [{label, "Zhejiang University"}]
 
 
 def _child_env():
@@ -910,7 +932,7 @@ class TestProcessEntry:
 
     def test_large_graph_file_in_a_new_process(self, capsys, tmp_path, monkeypatch):
         records = [make_record(name=f"Univ {k:03d}", p=1000.0 + 7 * k, pp=0.1 + 1e-5 * (k % 97))
-                   for k in range(300)]
+                   for k in range(400)]
         (tmp_path / "x.csv").write_text(dump_records(records), encoding="utf-8")
         def argv(tag):
             return ["group", "--input", "x.csv", "--out", f"t{tag}.csv",

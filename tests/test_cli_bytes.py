@@ -9,17 +9,38 @@ table and say why. Digests are the first 16 hex digits of the sha256.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from ranksig.cli import main
 from ranksig.ingest import dump_records
 
+from conftest import make_record
 from test_siggraph import seeded_edition
 
 GRAPH_OUT = "graph.out"
 
-# (id, argv, files written): a "trio-" call runs on the embedded trio, the
-# others read a seeded 300-institution edition with intervals
+
+def edge_value_edition(seed):
+    """A seeded edition whose pair z include the values a float writer treats
+    apart: exact 0.0 (equal shares), |z| below 1e-4 (near-equal shares of
+    large counts) and short reprs (p = 8 and a pooled share of 1/2, so se is
+    1/4 and a share gap of k/32 gives z = k/8), among spread values."""
+    rng = np.random.default_rng(seed)
+    records = [make_record(name=f"Equal {k}", p=float(rng.uniform(500, 40000)), pp=0.125)
+               for k in range(12)]
+    records += [make_record(name=f"Near {k}", p=1e9, pp=0.1 + 1e-10 * k) for k in range(12)]
+    records += [make_record(name=f"Eighth {k}", p=8.0, pp=0.5 + k / 32, t=4.0 + k / 4)
+                for k in range(-8, 9)]
+    records += [make_record(name=f"Spread {k}", p=float(rng.uniform(500, 40000)),
+                            pp=float(np.clip(rng.normal(0.12, 0.03), 0.03, 0.3)))
+                for k in range(60)]
+    return records
+
+
+# (id, argv, files written): a "trio-" call runs on the embedded trio, a call
+# with its own --input reads that file, and the others read a seeded
+# 300-institution edition with intervals
 CALLS = [
     ("trio-group", ("group",), ()),
     ("trio-pairwise", ("pairwise", "Tsinghua University", "Zhejiang University"), ()),
@@ -41,6 +62,8 @@ CALLS = [
     ("compare-by-country", ("compare", "--split-by-country"), ()),
     ("zcurve", ("zcurve", "--out", "z.csv"), ("z.csv",)),
     ("pairwise", ("pairwise", "Univ 000", "Univ 001"), ()),
+    ("export-vjson-edge-values",
+     ("export", "--format", "vjson", "--input", "edge-values.csv"), ()),
 ]
 
 # id -> (exit code, stdout, stderr, files in CALLS order)
@@ -61,6 +84,7 @@ DIGESTS = {
     "compare-by-country": (2, "e3b0c44298fc1c14", "3cf9c5834a856ab5", ()),
     "zcurve": (0, "e3b0c44298fc1c14", "3d1ec584978eb4c5", ("856a9529a098c694",)),
     "pairwise": (0, "f14e1dbb7ae45031", "e3b0c44298fc1c14", ()),
+    "export-vjson-edge-values": (0, "450564d90098ed7e", "e3b0c44298fc1c14", ()),
 }
 
 
@@ -70,7 +94,7 @@ def _sha(data: bytes) -> str:
 
 def outputs(capsysbinary, tmp_path, call_id, argv, files):
     """Exit code and digests of one in-process call run in ``tmp_path``."""
-    if not call_id.startswith("trio-"):
+    if not call_id.startswith("trio-") and "--input" not in argv:
         argv = (*argv, "--input", "edition.csv")
     code = main(list(argv))
     captured = capsysbinary.readouterr()
@@ -82,6 +106,8 @@ def outputs(capsysbinary, tmp_path, call_id, argv, files):
 def edition_dir(tmp_path, monkeypatch):
     (tmp_path / "edition.csv").write_text(dump_records(seeded_edition(5, 300)),
                                           encoding="utf-8")
+    (tmp_path / "edge-values.csv").write_text(dump_records(edge_value_edition(7)),
+                                              encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     return tmp_path
 

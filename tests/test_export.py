@@ -6,7 +6,8 @@ arrays: string builders over the node columns and ``g.edges`` and, for vjson,
 same bytes on graphs built by build_graph and on graphs built from
 user-supplied edges, whatever the edge count is against the writers'
 edge block, and ``write_graph`` must stream those bytes to a file or
-stdout without holding the whole text.
+stdout without holding the whole text. The vjson strength kernel must give
+``json.dumps``'s text exactly on seeded, boundary and generated values.
 """
 
 import csv
@@ -17,10 +18,12 @@ import math
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from ranksig import export
+from ranksig._jsonfloat import float_rows
 from ranksig.export import GRAPH_FORMATS, csv_line, render_graph, write_graph
 from ranksig.siggraph import Criterion, SignificanceGraph, build_graph
 
@@ -48,7 +51,7 @@ def reference_pajek(g):
     ids = {name: i + 1 for i, name in enumerate(g.names)}
     lines = [f"*Vertices {len(g.names)}"]
     for name in g.names:
-        label = name.replace('"', "'")
+        label = name.replace('"', "'").replace("\r", " ").replace("\n", " ")
         lines.append(f'{ids[name]} "{label}"')
     lines.append("*Edges")
     for e in g.edges:
@@ -122,7 +125,7 @@ GRAPHS = {
     "user edges, negative and non-finite z": lambda: SignificanceGraph.from_scores(
         [("a", -1.5), ("b", 0.0), ("c", 2.25), ("d", math.inf), ("e", -0.0)],
         [("c", "a", -3.125), ("a", "b", -0.0), ("b", "c", 1e-300),
-         ("d", "e", -math.inf), ("b", "d", math.nan), ("a", "e")],
+         ("d", "e", -math.inf), ("b", "d", math.inf), ("a", "e")],
     ),
 }
 
@@ -176,7 +179,7 @@ BLOCK = 4
 def graph_with_edges(count):
     """Six user-built nodes and the first ``count`` of their pairs as edges."""
     names = ["a", "b", 'c "q"', "d, e", "f\\g", "h"]
-    zs = [-2.5, 0.0, 1e-300, -0.0, math.inf, math.nan, 3.125, -1.0]
+    zs = [-2.5, 0.0, 1e-300, -0.0, math.inf, -math.inf, 3.125, -1.0]
     edges = [(a, b, zs[k % len(zs)])
              for k, (a, b) in enumerate(itertools.combinations(sorted(names), 2))]
     return SignificanceGraph.from_scores(
@@ -259,3 +262,66 @@ def test_csv_line_matches_csv_writer_without_carriage_returns(cells):
 @given(st.lists(_CSV_TEXT, min_size=2, max_size=5))
 def test_csv_line_reads_back_whole(cells):
     assert list(csv.reader(io.StringIO(csv_line(cells), newline=""))) == [cells]
+
+
+def kernel_text(values):
+    """float_rows on ``values``, one value's text per line."""
+    x = np.asarray(values, dtype=np.float64)
+    newline = np.full((min(len(x), 1 << 16), 1), ord("\n"), dtype=np.uint8)
+    return b"".join(
+        np.hstack([float_rows(x[lo:lo + (1 << 16)]), newline[:len(x) - lo]]).tobytes()
+        for lo in range(0, len(x), 1 << 16)).translate(None, b"\0").decode("ascii")
+
+
+def assert_kernel_matches_json(values):
+    values = np.asarray(values, dtype=np.float64)
+    got = kernel_text(values)
+    values = values.tolist()
+    want = (json.dumps(values)[1:-1].replace(", ", "\n") + "\n") if values else ""
+    if got != want:
+        wrong = [(v, g, w) for v, g, w in zip(values, got.split("\n"), want.split("\n"))
+                 if g != w]
+        pytest.fail(f"{len(wrong)} values differ from json.dumps, first (value, kernel, json): "
+                    f"{wrong[:5]}")
+
+
+# seeded draws of 10**6 values each: the kernel's domain at the z scale, below 1,
+# up to 1e15 (where two candidates often tie), and every positive finite double
+# (subnormals and 0.0 included) equally likely
+ORACLE_SETS = {
+    "uniform [0, 3)": lambda rng: rng.uniform(0, 3, 10 ** 6),
+    "uniform [1e-4, 1)": lambda rng: rng.uniform(1e-4, 1, 10 ** 6),
+    "uniform [1, 1e15)": lambda rng: rng.uniform(1, 1e15, 10 ** 6),
+    "random bit patterns": lambda rng: rng.integers(
+        0, 0x7FF0000000000000, 10 ** 6, dtype=np.uint64).view(np.float64),
+}
+
+
+@pytest.mark.parametrize("values", list(ORACLE_SETS), ids=str)
+def test_float_kernel_matches_json_on_seeded_values(values):
+    assert_kernel_matches_json(ORACLE_SETS[values](np.random.default_rng(2020)))
+
+
+def _around(v):
+    return [float(np.nextafter(v, 0)), v, float(np.nextafter(v, math.inf))]
+
+
+BOUNDARY_VALUES = (
+    [0.0, 5e-324, 2.2250738585072014e-308, *_around(1e-4), 9.999999999999999e-05,
+     *_around(1e16), 0.1, 0.2, 0.3, 0.30000000000000004, 2.5758293035489004,
+     # halfway between two 17-digit decimals: repr rounds the last digit to even
+     1234567890123456.25, 1234567890123457.75, 123456789012345.625,
+     # the nearest 16-digit decimal 3.6e-14 units of the 17th digit outside and inside
+     # the rounding interval, the closest a decimal comes to it in the kernel's range
+     0.00010023777152232459, 0.0001002377715223246, math.inf, math.nan]
+    + [2.0 ** k for k in range(-20, 61)] + [float(f"1e{k}") for k in range(-20, 23)]
+)
+
+
+def test_float_kernel_matches_json_on_boundary_values():
+    assert_kernel_matches_json(BOUNDARY_VALUES)
+
+
+@given(st.lists(st.floats(min_value=0.0) | st.just(math.nan), max_size=40))
+def test_float_kernel_matches_json_on_generated_values(values):
+    assert_kernel_matches_json(values)

@@ -106,6 +106,17 @@ class TestGraphValidation:
         with pytest.raises(InvalidStatistic, match=r"^node 'b': z is NaN$"):
             SignificanceGraph.from_scores([("a", 1.0), ("b", math.nan), ("c", 2.0), ("d", 3.0)])
 
+    def test_nan_edge_z_rejected_in_input_order(self):
+        # the vjson writer would write a bare NaN, which is not JSON
+        nodes = [(n, 0.0) for n in "abc"]
+        with pytest.raises(InvalidStatistic, match=r"^edge \('b', 'a'\): z is NaN$"):
+            SignificanceGraph.from_scores(nodes, [("a", "c", 1.0), ("b", "a", math.nan),
+                                                  ("a", "a")])
+        with pytest.raises(ValueError, match="self-edge on 'a'"):
+            SignificanceGraph.from_scores(nodes, [("a", "a"), ("b", "a", math.nan)])
+        g = SignificanceGraph.from_scores(nodes, [("a", "b", math.inf), ("c", "a", -math.inf)])
+        assert g.z.tolist() == [math.inf, -math.inf]
+
     def test_infinite_node_z_ranks_in_place(self):
         g = SignificanceGraph.from_scores(
             [("a", 1.0), ("b", math.inf), ("c", -math.inf), ("d", 3.0)])
