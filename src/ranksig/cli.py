@@ -265,7 +265,18 @@ def _group_tables_text(tables) -> str:
     return "\n".join(parts)
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths ``a`` and ``b`` name one file: one file on disk when both
+    exist, else one normalised absolute path."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.normcase(os.path.abspath(a)) == os.path.normcase(os.path.abspath(b))
+
+
 def cmd_group(args) -> int:
+    if args.out and args.graph_out and _same_file(args.out, args.graph_out):
+        raise RanksigError(f"--out and --graph-out name the same file ({args.out!r} and "
+                           f"{args.graph_out!r}); the graph would replace the tier table")
     from .siggraph import check_resolution
     check_resolution(args.resolution)  # under either grouping, before any work
     records = _load_records(args)

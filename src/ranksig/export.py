@@ -13,11 +13,11 @@ double-double scaling, and it writes 0.0 as ``0.0``. Every other value,
 and every value whose digits it cannot prove, goes to ``json.dumps``, so
 the bytes are those json writes.
 
-A block holds 2,048 edges. Writing 179,700 vjson edges peaks at 0.41 MB
-traced with 1,024-edge blocks, 0.74 MB with 2,048 and 1.40 MB with 4,096;
-on the 142,140 edges of a 1,000-institution edition, on a shared 2-core
-machine, 2,048 took about 10% less time than 1,024, and 4,096 about 2%
-less than 2,048.
+A block holds 4,096 edges. Writing 179,700 vjson edges (19.6 MB) peaks at
+0.63 MB traced with 1,024-edge blocks, 1.02 MB with 2,048, 1.97 MB with
+4,096 and 3.87 MB with 8,192, past an eighth of the file. The 142,140
+edges of a 1,000-institution edition took 65, 60 and 55 ms with the first
+three, in-process on a shared 2-core machine.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ if TYPE_CHECKING:
 
 __all__ = ["GRAPH_FORMATS", "render_graph", "write_graph"]
 
-_EDGE_BLOCK = 1 << 11  # edges per block (see the module docstring)
+_EDGE_BLOCK = 1 << 12  # edges per block (see the module docstring)
 
 
 def _fill(template: str, *columns: list) -> str:
@@ -74,57 +74,57 @@ def _pajek(g: SignificanceGraph):
     return head, block, ""
 
 
-_VJSON_ITEM = ',\n      {\n        "id": %d,\n        "label": %s,\n        "weight": %s\n      }'
+_VJSON_ITEM = ',\n      {\n        "id": %d,\n        "label": %s,\n        "weight": %r\n      }'
 # a link's text around its source id, strength and target id
 _VJSON_LINK = (b',\n      {\n        "source_id": ', b',\n        "strength": ',
                b',\n        "target_id": ', b'\n      }')
-
-
-def _text_rows(count: int, *columns) -> str:
-    """``count`` rows of text, each the concatenation of ``columns``: a bytes
-    constant, or a uint8 matrix of ``count`` rows of NUL-padded ASCII. The
-    NULs are dropped."""
-    import numpy as np
-
-    widths = [len(col) if isinstance(col, bytes) else col.shape[1] for col in columns]
-    text = bytearray(count * sum(widths))
-    np.concatenate([np.broadcast_to(np.frombuffer(col, np.uint8), (count, width))
-                    if isinstance(col, bytes) else col for col, width in zip(columns, widths)],
-                   axis=1, out=np.frombuffer(text, np.uint8).reshape(count, -1))
-    text = text.translate(None, b"\0")  # drops the padded matrix before decoding
-    return text.decode("ascii")
 
 
 def _vjson(g: SignificanceGraph):
     """Viewer-compatible network JSON: items weighted by node z, links by |z|.
 
     The text is what ``json.dumps(doc, indent=2, sort_keys=True)`` writes
-    for the document, filled into a fixed template. A block of links is one
-    byte matrix, a row per link: the template's text, the 1-based node ids
-    from a table of NUL-padded ids, and each strength |z| as ``float_rows``
-    writes it; its NULs are dropped in one pass and the rest decoded as
-    ASCII. numpy and the kernel are imported here, not with the module, so
-    that ``import ranksig.cli`` neither loads numpy nor compiles the kernel.
+    for the document, filled into a fixed template; a non-finite z, which
+    JSON cannot hold, raises InvalidStatistic before any text is made. Each
+    block of links fills one byte matrix laid out once per call, a row per
+    link: the link's constant text holds the 1-based node ids from a table
+    of NUL-padded ids and each strength |z| as ``float_rows`` writes it; the
+    NULs are dropped in one pass and the rest decoded as ASCII. numpy and
+    the kernel are imported here, not with the module, so that ``import
+    ranksig.cli`` neither loads numpy nor compiles the kernel.
     """
     import json
 
     import numpy as np
 
-    from ._jsonfloat import float_rows
+    from ._jsonfloat import ROW_WIDTH, float_rows
+    from .errors import InvalidStatistic
 
+    for what, zs in (("node", g.node_z), ("edge", g.z)):
+        for k in np.flatnonzero(~np.isfinite(zs))[:1].tolist():
+            at = g.names[k] if what == "node" else (g.names[g.src[k]], g.names[g.dst[k]])
+            raise InvalidStatistic(f"{what} {at!r}: z is {zs[k]}, which vjson cannot write")
     ids = np.array([b"%d" % i for i in range(1, len(g.names) + 1)], dtype="S")
-    ids = ids.view(np.uint8).reshape(len(ids), ids.itemsize)
+    row, cols = _VJSON_LINK[0], []  # the link's text; its source id, strength, target id
+    for gap, text in zip((ids.itemsize, ROW_WIDTH, ids.itemsize), _VJSON_LINK[1:]):
+        cols.append(slice(len(row), len(row) + gap))
+        row += b"\0" * gap + text
+    buf = bytearray(row * min(_EDGE_BLOCK, g.edge_count))
+    template = np.frombuffer(buf, np.uint8).reshape(-1, len(row))
+    ids = ids.view(f"V{ids.itemsize}")  # a column is filled item by item, not byte by byte
 
     def block(s: slice) -> str:
-        src, dst = g.src[s], g.dst[s]
-        links = _text_rows(len(src), _VJSON_LINK[0], ids[src], _VJSON_LINK[1],
-                           float_rows(np.abs(g.z[s])), _VJSON_LINK[2], ids[dst],
-                           _VJSON_LINK[3])
+        z = float_rows(np.abs(g.z[s]))
+        rows = template[:len(z)]
+        for col, items in zip(cols, (ids[g.src[s]], z.view(f"V{ROW_WIDTH}")[:, 0], ids[g.dst[s]])):
+            rows[:, col].view(items.dtype)[:, 0] = items
+        text = buf if rows.size == len(buf) else buf[:rows.size]  # copied for a short block
+        links = text.translate(None, b"\0").decode("ascii")
         return "[" + links[1:] if s.start == 0 else links
     # every entry starts with a comma; the first one of a list opens it instead
     items = _fill(_VJSON_ITEM, list(range(1, len(g.names) + 1)),
                   [json.dumps(name) for name in g.names],
-                  [json.dumps(z) for z in g.node_z.tolist()])
+                  g.node_z.tolist())  # finite, so %r writes json's text
     head = ('{\n  "network": {\n    "items": ' + ("[" + items[1:] + "\n    ]" if items else "[]")
             + ',\n    "links": ' + ("" if g.edge_count else "[]"))
     return head, block, ("\n    ]" if g.edge_count else "") + "\n  }\n}\n"

@@ -133,7 +133,9 @@ class SignificanceGraph:
         endpoint that is not a node, and a pair given twice (in either
         orientation) raise ValueError, and a NaN edge z raises
         InvalidStatistic (the vjson file would hold a bare NaN); +-inf is
-        kept.
+        kept. The csv, dot and pajek writers write +-inf as ``inf``; the
+        vjson writer raises InvalidStatistic on it, as JSON has no such
+        number.
         """
         nodes = sorted((name, float(z)) for name, z in scores)
         names = tuple(name for name, _ in nodes)
@@ -217,9 +219,14 @@ class GroupTable:
     rows: Tuple[RankedRow, ...]
 
 
-# Pair cells computed per row block of the pair pass; bounds its
-# temporaries to a few MiB whatever the edition size.
-_BLOCK_CELLS = 1 << 18
+# Pair cells computed per row block of the pair pass. Each float64
+# temporary of a block is then 512 KiB, which stays in a core's cache
+# between the pass's steps. A cold 1,000-institution pass took 20 ms at
+# 2**14 to 2**16 cells, 21 ms at 2**17 and 24 ms at 2**18 (2 MiB
+# temporaries; medians of 11 new processes on a shared 2-core machine);
+# 2**16 is the largest of the fast ones, and keeps a 203-institution pass
+# in one block.
+_BLOCK_CELLS = 1 << 16
 
 
 def build_graph(
@@ -285,16 +292,19 @@ def build_graph(
             for r, c in zip(*np.nonzero(upper & ~regular)):
                 z[r, c] = link_z(recs[i0 + r], recs[i0 + 1 + c], proportions)
             if criterion is Criterion.Z_TEST:
-                keep = upper & (np.abs(z) < threshold)
-                strong = np.zeros(z.shape, dtype=bool)
+                r, c = np.nonzero(upper & (np.abs(z) < threshold))
+                strong = np.zeros(len(r), dtype=bool)
             else:
-                a_lo, a_hi, b_lo, b_hi = lo[a, None], hi[a, None], lo[None, b], hi[None, b]
-                keep = upper & ~((a_hi < b_lo) | (b_hi < a_lo))
+                apart = (hi[a, None] < lo[None, b]) | (hi[None, b] < lo[a, None])
+                r, c = np.nonzero(upper & ~apart)
+                a_lo, a_hi, b_lo, b_hi = lo[r + i0], hi[r + i0], lo[c + i0 + 1], hi[c + i0 + 1]
                 strong = ((b_lo <= a_lo) & (a_hi <= b_hi)) | ((a_lo <= b_lo) & (b_hi <= a_hi))
-            r, c = np.nonzero(keep)
-            parts.append((r + i0, c + (i0 + 1), z[r, c], strong[r, c]))
+            parts.append((r + i0, c + (i0 + 1), z[r, c], strong))
 
-    return SignificanceGraph(names, node_z, *(np.concatenate(col) for col in zip(*parts)))
+    cols = [np.concatenate(col) for col in zip(*parts)]
+    for col in cols:  # new arrays: frozen here, so that the graph need not copy them
+        col.flags.writeable = False
+    return SignificanceGraph(names, node_z, *cols)
 
 
 def _isolate_labels(g: SignificanceGraph, label: Sequence[int]) -> set:
@@ -335,7 +345,9 @@ def weak_components(g: SignificanceGraph) -> Grouping:
     Min-label hooking and pointer jumping on the edge arrays.
     """
     n = len(g.names)
-    label = np.arange(n)
+    # int32 labels halve the gathers over the edges; on 142,140 edges that
+    # cut a new process's first call from about 1,600 page faults to 800
+    label = np.arange(n, dtype=np.int32)
     while True:
         a, b = label[g.src], label[g.dst]
         if np.array_equal(a, b):

@@ -97,6 +97,36 @@ class TestGroup:
         nodes = re.findall(r'^  "([^"]+)" \[z=', text, flags=re.M)
         assert len(nodes) == 3
 
+    # an existing file is matched on disk (a link to it too), a new one by its path
+    @pytest.mark.parametrize("exists, graph_out", [
+        (False, "same.csv"), (False, "./same.csv"), (False, "sub/../same.csv"),
+        (True, "same.csv"), (True, "sub/../same.csv"), (True, "link.csv")])
+    def test_out_and_graph_out_on_one_file_exit_2(self, capsys, tmp_path, monkeypatch,
+                                                 exists, graph_out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        if exists:
+            (tmp_path / "same.csv").write_text("kept\n")
+            (tmp_path / "link.csv").symlink_to("same.csv")
+        code, out, err = run(capsys, "group", "--out", "same.csv", "--graph-out", graph_out)
+        assert (code, out) == (2, "")
+        assert err == (f"ranksig: error: --out and --graph-out name the same file ('same.csv' "
+                       f"and {graph_out!r}); the graph would replace the tier table\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["link.csv", "same.csv", "sub"] if exists else ["sub"])
+        if exists:
+            assert (tmp_path / "same.csv").read_text() == "kept\n"
+
+    def test_out_and_graph_out_on_two_files(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.csv").write_text("old\n")
+        (tmp_path / "g.csv").write_text("old\n")
+        code, _, err = run(capsys, "group", "--out", "t.csv", "--graph-out", "g.csv",
+                           "--format", "csv")
+        assert code == 0 and err.endswith("wrote t.csv\nwrote g.csv\n")
+        assert (tmp_path / "g.csv").read_text().startswith("source,target,z,strong\n")
+        assert (tmp_path / "t.csv").read_text().startswith("group,")
+
     def test_ci_criterion_without_intervals_exit_2(self, capsys, tmp_path):
         bare = [make_record(name=f"U{i}", p=1000.0 + i, pp=0.1 + i / 100) for i in range(3)]
         path = tmp_path / "bare.csv"
@@ -932,7 +962,7 @@ class TestProcessEntry:
 
     def test_large_graph_file_in_a_new_process(self, capsys, tmp_path, monkeypatch):
         records = [make_record(name=f"Univ {k:03d}", p=1000.0 + 7 * k, pp=0.1 + 1e-5 * (k % 97))
-                   for k in range(400)]
+                   for k in range(540)]
         (tmp_path / "x.csv").write_text(dump_records(records), encoding="utf-8")
         def argv(tag):
             return ["group", "--input", "x.csv", "--out", f"t{tag}.csv",

@@ -6,8 +6,10 @@ arrays: string builders over the node columns and ``g.edges`` and, for vjson,
 same bytes on graphs built by build_graph and on graphs built from
 user-supplied edges, whatever the edge count is against the writers'
 edge block, and ``write_graph`` must stream those bytes to a file or
-stdout without holding the whole text. The vjson strength kernel must give
-``json.dumps``'s text exactly on seeded, boundary and generated values.
+stdout without holding the whole text. JSON has no non-finite number, so
+vjson refuses a graph with one, as the strict reference does, and writes
+nothing; the other formats write ``inf``. The vjson strength kernel must
+give ``json.dumps``'s text exactly on seeded, boundary and generated values.
 """
 
 import csv
@@ -24,6 +26,7 @@ from hypothesis import given, strategies as st
 
 from ranksig import export
 from ranksig._jsonfloat import float_rows
+from ranksig.errors import InvalidStatistic
 from ranksig.export import GRAPH_FORMATS, csv_line, render_graph, write_graph
 from ranksig.siggraph import Criterion, SignificanceGraph, build_graph
 
@@ -73,7 +76,10 @@ def reference_vjson(g):
             ],
         }
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:  # a non-finite z: JSON has no such number
+        raise InvalidStatistic("non-finite z") from None
 
 
 def reference_edge_csv(g):
@@ -83,6 +89,14 @@ def reference_edge_csv(g):
     for e in g.edges:
         writer.writerow([e.a, e.b, repr(e.z), "true" if e.strong else "false"])
     return buf.getvalue()
+
+
+def outcome(render, *args):
+    """The text ``render(*args)`` returns, or InvalidStatistic if it raises that."""
+    try:
+        return render(*args)
+    except InvalidStatistic:
+        return InvalidStatistic
 
 
 REFERENCES = {
@@ -138,7 +152,7 @@ def test_every_format_has_a_reference():
 @pytest.mark.parametrize("graph", list(GRAPHS), ids=str)
 def test_writer_matches_reference(fmt, reference, graph):
     g = GRAPHS[graph]()
-    assert render_graph(g, fmt) == reference(g)
+    assert outcome(render_graph, g, fmt) == outcome(reference, g)
 
 
 def test_fixtures_cover_the_cases():
@@ -157,13 +171,42 @@ def test_fixtures_cover_the_cases():
 @pytest.mark.parametrize("graph", list(GRAPHS), ids=str)
 def test_write_graph_streams_render_graph(fmt, graph, tmp_path, capsys):
     g = GRAPHS[graph]()
-    text = render_graph(g, fmt)
+    text = outcome(render_graph, g, fmt)
     path = tmp_path / f"graph.{fmt}"
+    if text is InvalidStatistic:  # raised before the file is opened
+        for out in (path, None):
+            with pytest.raises(InvalidStatistic):
+                write_graph(g, fmt, out)
+        assert not path.exists() and capsys.readouterr().out == ""
+        return
     write_graph(g, fmt, path)
     assert path.read_bytes() == text.encode("utf-8")
     capsys.readouterr()
     write_graph(g, fmt)
     assert capsys.readouterr().out == text
+
+
+def test_vjson_refuses_a_non_finite_z_that_other_formats_write():
+    user = GRAPHS["user edges, negative and non-finite z"]()
+    with pytest.raises(InvalidStatistic, match=r"^node 'd': z is inf, which vjson cannot write$"):
+        render_graph(user, "vjson")
+    for fmt in ("csv", "dot", "pajek"):
+        assert "inf" in render_graph(user, fmt)
+    # finite nodes: the first non-finite edge in edge order is named
+    edges = graph_with_edges(2 * BLOCK + 1)
+    with pytest.raises(InvalidStatistic, match=r"^edge \('a', 'h'\): z is inf, "):
+        render_graph(edges, "vjson")
+
+
+@pytest.mark.parametrize("graph", [name for name in GRAPHS if "non-finite" not in name],
+                         ids=str)
+def test_vjson_of_a_finite_graph_is_strict_json(graph):
+    g = GRAPHS[graph]()
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON")
+    doc = json.loads(render_graph(g, "vjson"), parse_constant=refuse)
+    assert len(doc["network"]["links"]) == g.edge_count
 
 
 def test_unknown_format_writes_nothing(tmp_path):
@@ -193,7 +236,7 @@ def test_edge_counts_around_the_block(fmt, reference, count, monkeypatch):
     monkeypatch.setattr(export, "_EDGE_BLOCK", BLOCK)
     g = graph_with_edges(count)
     assert g.edge_count == count
-    assert render_graph(g, fmt) == reference(g)
+    assert outcome(render_graph, g, fmt) == outcome(reference, g)
 
 
 def crowded_graph(n):
@@ -230,6 +273,11 @@ def test_every_worker_count_writes_the_same_bytes(fmt, reference, block, tmp_pat
                    for count in (0, 1, block - 1, block, block + 1, 2 * block + 1)})
     path = tmp_path / f"graph.{fmt}"
     for name, g in graphs.items():
+        if outcome(reference, g) is InvalidStatistic:
+            with pytest.raises(InvalidStatistic):
+                write_graph(g, fmt, tmp_path / "refused")
+            assert not (tmp_path / "refused").exists(), name
+            continue
         write_graph(g, fmt, path)
         text = path.read_bytes().decode("utf-8")
         assert text == render_graph(g, fmt) == reference(g), name
@@ -313,7 +361,13 @@ BOUNDARY_VALUES = (
      1234567890123456.25, 1234567890123457.75, 123456789012345.625,
      # the nearest 16-digit decimal 3.6e-14 units of the 17th digit outside and inside
      # the rounding interval, the closest a decimal comes to it in the kernel's range
-     0.00010023777152232459, 0.0001002377715223246, math.inf, math.nan]
+     0.00010023777152232459, 0.0001002377715223246, math.inf, math.nan,
+     # 17 digits with zeros across the splits of digit text: 10**9 and 10**8 (the
+     # kernel's two int32 halves) and its 4-digit groups
+     1.0000000000000002, 1.000000001, 10000000.000000002, *_around(1e8),
+     100000000.10000001, 1000000.0000000001, 1.0000000100000004, 100000001.00000003,
+     1.0000000001000007, 1000000.0000010001, 1000000010000000.1, 9.999999990000001,
+     1.2345678900000001, 1000000000100.0007]
     + [2.0 ** k for k in range(-20, 61)] + [float(f"1e{k}") for k in range(-20, 23)]
 )
 

@@ -112,7 +112,7 @@ def records(draw):
     criterion=st.sampled_from(list(Criterion)),
     proportions=st.sampled_from(["stored", "exact"]),
     threshold=st.sampled_from([1.96, 2.576, 3.29, 0.5, KEEP_ALL]),
-    block_cells=st.sampled_from([1, 7, 1 << 18]),
+    block_cells=st.sampled_from([1, 7, 1 << 16, 1 << 18]),
 )
 def test_vectorised_pass_matches_pair_loop(recs, criterion, proportions, threshold,
                                            block_cells):
