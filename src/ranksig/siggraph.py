@@ -20,7 +20,6 @@ the other commands start without numpy's import cost.
 import enum
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple
@@ -307,33 +306,34 @@ def build_graph(
     return SignificanceGraph(names, node_z, *cols)
 
 
-def _isolate_labels(g: SignificanceGraph, label: Sequence[int]) -> set:
-    """Isolate tiers: the labels (one per node index) held by one node with no edge."""
-    degree = np.bincount(np.concatenate((g.src, g.dst)), minlength=len(label)).tolist()
-    size = Counter(label)
-    return {c for c, d in zip(label, degree) if not d and size[c] == 1}
+def _ranked_tiers(g: SignificanceGraph, label: Sequence[int]) -> List[tuple]:
+    """The tiers of one label per node index, ranked, in tier order.
+
+    Nodes are ranked once, by a stable sort on -z: index order is name
+    order, so ties in z break by name. Each tier is (label, isolate, rows):
+    its rows are (overall rank, node index) in that order, so a row's
+    within-tier rank is its position plus 1, and it is an isolate when its
+    one member has no edge. Tiers come in the order their top members
+    appear, isolates last: the order (isolate, -max z, top member's name).
+    """
+    # marked in place: bincount would copy each read-only edge column first
+    linked = np.zeros(len(g.names), dtype=bool)
+    linked[g.src] = linked[g.dst] = True
+    tiers: Dict[int, List[Tuple[int, int]]] = {}
+    for rank, k in enumerate(np.argsort(-g.node_z, kind="stable").tolist(), 1):
+        tiers.setdefault(label[k], []).append((rank, k))
+    ranked = [(c, len(rows) == 1 and not linked[rows[0][1]], rows) for c, rows in tiers.items()]
+    return sorted(ranked, key=lambda tier: tier[1])
 
 
 def _grouping(g: SignificanceGraph, label: Sequence[int]) -> Grouping:
     """Tiers from one label per node index: nodes with equal labels share a tier.
 
-    Tiers are ordered by (isolate last, -max z, name of the top member).
-    Index order is name order, so members list by name and ties in z break
-    by name.
+    Group ids number the tiers in ``_ranked_tiers`` order, and each tier's
+    members are listed by name.
     """
-    names, zs = g.names, g.node_z.tolist()
-    isolated = _isolate_labels(g, label)
-    tiers: Dict[int, List[int]] = {}
-    for k, c in enumerate(label):
-        tiers.setdefault(c, []).append(k)
-
-    def sort_key(tier):
-        c, members = tier
-        top = min(members, key=lambda k: (-zs[k], k))
-        return (c in isolated, -zs[top], top)
-
-    ordered = sorted(tiers.items(), key=sort_key)
-    return Grouping({names[k]: gid for gid, (_, members) in enumerate(ordered) for k in members})
+    return Grouping({g.names[k]: gid for gid, (_, _, rows) in enumerate(_ranked_tiers(g, label))
+                     for k in sorted(k for _, k in rows)})
 
 
 def weak_components(g: SignificanceGraph) -> Grouping:
@@ -502,14 +502,12 @@ def cluster(
     more than 1e-12, then keeps whichever of (clustering, weak components)
     scores the higher modularity, so the result is never worse than the
     plain tier partition. Isolates (nodes without an edge) stay singletons,
-    listed last, and every cluster lies inside one weak component.
-    ``resolution`` must be a finite number >= 0.
+    listed last, and every cluster lies inside one weak component. On an
+    edgeless graph no node moves, so the result equals ``weak_components``,
+    assignment order included. ``resolution`` must be a finite number >= 0.
     """
     check_resolution(resolution)
     weak = weak_components(g)
-    if not g.edge_count:
-        return weak
-
     louvain_grouping = _grouping(g, _louvain(g, resolution, seed))
     if modularity(g, louvain_grouping, resolution) >= modularity(g, weak, resolution):
         return louvain_grouping
@@ -519,17 +517,14 @@ def cluster(
 def rank_groups(g: SignificanceGraph, grouping: Grouping) -> Tuple[GroupTable, ...]:
     """Ranked tier tables: per-group rows by descending z plus overall ranks.
 
-    Tables are numbered by ascending group id. Ranks are 1-based and dense;
-    ties in z order by ascending name, both within groups and overall. A
-    table is an isolate when its one member has no edge in ``g``.
+    The tiers and ranks are those of ``_ranked_tiers``, listed and numbered
+    by ascending group id. Ranks are 1-based and dense; ties in z order by
+    ascending name, both within groups and overall. A table is an isolate
+    when its one member has no edge in ``g``.
     """
-    label = _group_ids(g, grouping)
-    isolated = _isolate_labels(g, label)
     names, zs = g.names, g.node_z.tolist()
-    rows: Dict[int, List[RankedRow]] = {}
-    # one z order gives both ranks: index order is name order
-    for rank, k in enumerate(sorted(range(len(names)), key=lambda k: (-zs[k], k)), 1):
-        tier = rows.setdefault(label[k], [])
-        tier.append(RankedRow(names[k], zs[k], rank, len(tier) + 1))
-    return tuple(GroupTable(group=gid, isolate=c in isolated, rows=tuple(rows[c]))
-                 for gid, c in enumerate(sorted(rows)))
+    tiers = sorted(_ranked_tiers(g, _group_ids(g, grouping)), key=lambda tier: tier[0])
+    return tuple(
+        GroupTable(group=gid, isolate=isolate, rows=tuple(
+            RankedRow(names[k], zs[k], rank, j) for j, (rank, k) in enumerate(rows, 1)))
+        for gid, (_, isolate, rows) in enumerate(tiers))

@@ -380,6 +380,8 @@ class TestCluster:
         g = SignificanceGraph.from_scores([(f"n{i}", float(i)) for i in range(6)])
         grouping = cluster(g, seed=0)
         assert all(len(c) == 1 for c in grouping.groups())
+        # no edge, so no node moves: the weak components, in their order
+        assert_same_grouping(grouping, weak_components(g))
 
     def test_complete_graph_single_group(self):
         names = [f"n{i}" for i in range(7)]
@@ -658,12 +660,13 @@ class TestWeakComponentsOracle:
 @st.composite
 def labelled_graphs(draw, max_nodes=30):
     """A graph and any label per node: a label may split a component, span
-    two, or hold degree-0 nodes with others; z values are finite and tie often."""
+    two, or hold degree-0 nodes with others; z values tie often, and include
+    signed zeros and infinities, which from_scores keeps."""
     n = draw(st.integers(0, max_nodes))
     names = [f"n{i:02d}" for i in range(n)]
     ends = st.integers(0, max(0, n - 1))
     pairs = draw(st.sets(st.tuples(ends, ends).filter(lambda p: p[0] < p[1]), max_size=n))
-    zs = st.one_of(st.sampled_from((-1.0, -0.0, 0.0, 2.5)),
+    zs = st.one_of(st.sampled_from((-1.0, -0.0, 0.0, 2.5, math.inf, -math.inf)),
                    st.floats(allow_nan=False, allow_infinity=False))
     z = draw(st.lists(zs, min_size=n, max_size=n))
     label = draw(st.lists(st.integers(-2, draw(st.integers(0, n))), min_size=n, max_size=n))
