@@ -583,29 +583,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Warned once per pair: counted, then reported on one line per kind.
-_COUNTED_WARNINGS = (DegeneratePoolWarning,)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    counted: Dict[type, list] = {}  # kind -> [count, first message]
+    # zero-variance pools, summed over the warnings' counts (one warning per
+    # graph, one per scalar z), reported on one line after the command's output
+    degenerate = 0
     try:
         with warnings.catch_warnings():
             show = warnings.showwarning
 
             def count(message, category, *rest, **kwargs):
-                if issubclass(category, _COUNTED_WARNINGS):
-                    counted.setdefault(category, [0, message])[0] += 1
+                nonlocal degenerate
+                if issubclass(category, DegeneratePoolWarning):
+                    degenerate += message.count
                 else:
                     show(message, category, *rest, **kwargs)
             warnings.showwarning = count
-            for kind in _COUNTED_WARNINGS:
-                warnings.simplefilter("always", kind)
+            warnings.simplefilter("always", DegeneratePoolWarning)
             return args.func(args) or 0
     except RanksigError as exc:
         print(f"ranksig: error: {exc}", file=sys.stderr)
@@ -620,8 +618,9 @@ def main(argv=None) -> int:
         print(f"ranksig: internal error: {exc!r}", file=sys.stderr)
         return 1
     finally:
-        for kind, (n, message) in counted.items():
-            print(f"ranksig: warning: {n} x {kind.__name__}: {message}", file=sys.stderr)
+        if degenerate:
+            print(f"ranksig: warning: {degenerate} x DegeneratePoolWarning: "
+                  f"{DegeneratePoolWarning()}", file=sys.stderr)
 
 
 def _entry() -> int:

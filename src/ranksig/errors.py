@@ -87,4 +87,9 @@ class MixedSlices(RanksigError):
 # --- warnings (conditions that are reported but do not stop computation) ---
 
 class DegeneratePoolWarning(UserWarning):
-    """z defined as 0 over a pool whose variance is 0."""
+    """z defined as 0 over ``count`` pools whose variance is 0: one per scalar
+    z call, all of a graph's pairs in one warning from ``build_graph``."""
+
+    def __init__(self, count: int = 1):
+        self.count = count
+        super().__init__("pooled variance is 0: z defined as 0")

@@ -20,18 +20,19 @@ the other commands start without numpy's import cost.
 import enum
 import math
 import random
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DuplicateRecord, InvalidStatistic
+from .errors import DegeneratePoolWarning, DuplicateRecord, InvalidStatistic
 from .ingest import InstitutionRecord
 from .stats import (
     ALPHA_THRESHOLDS,
     ci_relation,  # noqa: F401  the scalar form of build_graph's interval pass
-    link_z,
+    link_z,  # noqa: F401  the scalar form of build_graph's z pass
     z_vs_expectation,
 )
 
@@ -244,11 +245,12 @@ def build_graph(
 
     Every pair is tested in one vectorised pass, in row blocks of the
     name-ordered pair matrix, with the operation order of ``link_z``, so
-    each z is bit-equal to the scalar value. Pairs whose pooled variance is
-    0 (a pool of 0 or 1, or one that underflows) go through ``link_z``
-    itself, in name order: it warns and returns 0 exactly as a pair-by-pair
-    loop would. A positive se is at least sqrt(5e-324), so every other z is
-    finite. ``threshold`` must be a finite number > 0, whatever the criterion.
+    each z is bit-equal to the scalar value. A pair whose pooled variance is
+    0 (a pool of 0 or 1, or one that underflows) gets z +0.0, as from
+    ``link_z``, and the call issues one DegeneratePoolWarning whose
+    ``count`` is the number of such pairs. A positive se is at least
+    sqrt(5e-324), so every other z is finite. ``threshold`` must be a
+    finite number > 0, whatever the criterion.
     """
     if not (math.isfinite(threshold) and threshold > 0):
         raise InvalidStatistic(f"threshold must be a finite number > 0 (got {threshold!r})")
@@ -278,6 +280,7 @@ def build_graph(
         else:
             share = np.array([r.pp_top10 for r in recs], dtype=np.float64)
         rows = max(1, _BLOCK_CELLS // n)
+        degenerate = 0
         # block rows i0..i1-1 against columns i0+1..n-1; keep cells with j > i
         for i0 in range(0, n - 1, rows):
             i1 = min(i0 + rows, n - 1)
@@ -288,8 +291,10 @@ def build_graph(
                 se = np.sqrt(pooled * (1.0 - pooled) * (inv_p[a, None] + inv_p[None, b]))
                 z = (share[a, None] - share[None, b]) / se
                 regular = se > 0
-            for r, c in zip(*np.nonzero(upper & ~regular)):
-                z[r, c] = link_z(recs[i0 + r], recs[i0 + 1 + c], proportions)
+            zero_var = upper & ~regular
+            if count := np.count_nonzero(zero_var):  # z 0, as link_z defines it
+                z[zero_var] = 0.0
+                degenerate += count
             if criterion is Criterion.Z_TEST:
                 r, c = np.nonzero(upper & (np.abs(z) < threshold))
                 strong = np.zeros(len(r), dtype=bool)
@@ -299,6 +304,8 @@ def build_graph(
                 a_lo, a_hi, b_lo, b_hi = lo[r + i0], hi[r + i0], lo[c + i0 + 1], hi[c + i0 + 1]
                 strong = ((b_lo <= a_lo) & (a_hi <= b_hi)) | ((a_lo <= b_lo) & (b_hi <= a_hi))
             parts.append((r + i0, c + (i0 + 1), z[r, c], strong))
+        if degenerate:
+            warnings.warn(DegeneratePoolWarning(int(degenerate)), stacklevel=2)
 
     cols = [np.concatenate(col) for col in zip(*parts)]
     for col in cols:  # new arrays: frozen here, so that the graph need not copy them

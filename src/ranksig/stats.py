@@ -210,9 +210,6 @@ def standardized_residuals(obs: ContingencyTable) -> Tuple[Tuple[float, ...], ..
     return _cellwise(obs, lambda o, e: (o - e) / math.sqrt(e))
 
 
-_DEGENERATE_ZERO = "pooled variance is 0: z defined as 0"
-
-
 def z_two_proportions(
     p1: float, n1: float, p2: float, n2: float, pooled: float
 ) -> float:
@@ -236,7 +233,7 @@ def z_two_proportions(
     se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
     # NaN here is a pool of 0 or 1 times the inf of an overflowing 1/n
     if not se > 0:
-        warnings.warn(_DEGENERATE_ZERO, DegeneratePoolWarning, stacklevel=2)
+        warnings.warn(DegeneratePoolWarning(), stacklevel=2)
         return 0.0
     return (p1 - p2) / se
 

@@ -55,7 +55,13 @@ def new_graph(records, criterion, threshold, proportions):
 
 
 def outcome(fn):
-    """(edge facts or the exception, DegeneratePoolWarning count) of one call."""
+    """(edge facts or the exception, summed DegeneratePoolWarning count) of one call."""
+    result, counts = warned_outcome(fn)
+    return result, sum(counts)
+
+
+def warned_outcome(fn):
+    """(edge facts or the exception, each DegeneratePoolWarning's count) of one call."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -65,8 +71,8 @@ def outcome(fn):
         else:
             # z.hex(): bit equality, so 0.0 and -0.0 count as different
             result = nodes, [(e.a, e.b, e.z.hex(), e.strong) for e in edges]
-    count = sum(issubclass(w.category, DegeneratePoolWarning) for w in caught)
-    return result, count
+    return result, [w.message.count for w in caught
+                    if issubclass(w.category, DegeneratePoolWarning)]
 
 
 # Publication counts include the extremes: MAX_COUNT, the largest count a
@@ -119,8 +125,13 @@ def test_vectorised_pass_matches_pair_loop(recs, criterion, proportions, thresho
     expected = outcome(
         lambda: reference_graph(recs, criterion, threshold, proportions))
     with mock.patch.object(siggraph, "_BLOCK_CELLS", block_cells):
-        got = outcome(lambda: new_graph(recs, criterion, threshold, proportions))
-    assert got == expected
+        result, counts = warned_outcome(
+            lambda: new_graph(recs, criterion, threshold, proportions))
+    # the scalar loop warns once per degenerate pair, the pair pass once per
+    # call; each node z is a scalar test that warns on its own (a subnormal p)
+    assert (result, sum(counts)) == expected
+    nodes = warned_outcome(lambda: ([z_vs_expectation(r) for r in recs], []))
+    assert len(counts) <= len(nodes[1]) + 1
 
 
 @pytest.mark.parametrize("count", [0, 1, 2])
@@ -173,16 +184,23 @@ def test_zero_variance_pairs_match_the_pair_loop(proportions):
 
 
 def test_regular_pairs_never_reach_the_scalar_test():
+    # regular pairs and the degenerate pools of the test above, one row per
+    # block: no pair goes through the scalar link_z, whatever its pool
     recs = [make_record(name=f"u{i}", p=500.0 + 37 * i, pp=0.05 + 0.01 * i)
-            for i in range(30)]
+            for i in range(30)] + [
+        make_record(name="A", p=10.0, t=0.0, pp=0.0),
+        make_record(name="B", p=10.0, t=0.0, pp=0.04),
+        make_record(name="C", p=10.0, t=10.0, pp=1.0),
+        make_record(name="D", p=10.0, t=10.0, pp=0.97),
+        make_record(name="E", p=10.0, t=math.nextafter(10.0, 0.0), pp=1.0),
+        make_record(name="F", p=10.0, t=1e-322, pp=0.0)]
+    expected = outcome(lambda: reference_graph(recs, Criterion.Z_TEST, 2.576, "stored"))
 
-    def fail(*args):
-        raise AssertionError("scalar link_z called for a regular pair")
-
-    with mock.patch.object(siggraph, "link_z", fail), \
+    with mock.patch.object(siggraph, "link_z",
+                           side_effect=AssertionError("scalar link_z called")) as scalar, \
             mock.patch.object(siggraph, "_BLOCK_CELLS", 50):
-        g = build_graph(recs)
-    assert [(e.a, e.b, e.z) for e in g.edges] == [
-        (e.a, e.b, e.z)
-        for e in reference_graph(recs, Criterion.Z_TEST, 2.576, "stored")[1]
-    ]
+        result, counts = warned_outcome(lambda: new_graph(recs, Criterion.Z_TEST, 2.576,
+                                                          "stored"))
+    scalar.assert_not_called()
+    assert len(counts) == 1 and expected[1] >= 4
+    assert (result, counts[0]) == expected
