@@ -88,7 +88,7 @@ class MixedSlices(RanksigError):
 
 class DegeneratePoolWarning(UserWarning):
     """z defined as 0 over ``count`` pools whose variance is 0: one per scalar
-    z call, all of a graph's pairs in one warning from ``build_graph``."""
+    z call, one per ``build_graph`` call for all its node pools and pairs."""
 
     def __init__(self, count: int = 1):
         self.count = count

@@ -27,13 +27,13 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegeneratePoolWarning, DuplicateRecord, InvalidStatistic
+from .errors import DegeneratePoolWarning, DuplicateRecord, EmptyInstitution, InvalidStatistic
 from .ingest import InstitutionRecord
 from .stats import (
     ALPHA_THRESHOLDS,
     ci_relation,  # noqa: F401  the scalar form of build_graph's interval pass
     link_z,  # noqa: F401  the scalar form of build_graph's z pass
-    z_vs_expectation,
+    z_vs_expectation,  # noqa: F401  the scalar form of build_graph's node z
 )
 
 __all__ = [
@@ -229,6 +229,24 @@ class GroupTable:
 _BLOCK_CELLS = 1 << 16
 
 
+def _z_cells(one, two, keep):
+    """z over the cells of sides ``one`` and ``two``, and how many where ``keep`` have variance 0.
+
+    A side is (t, p, 1/p, share), arrays or numbers that broadcast. z is
+    bit-equal to ``link_z``'s, +0.0 where the pooled variance is 0; call
+    under ``np.errstate(all="ignore")``, as such a cell divides by 0.
+    """
+    t1, n1, inv1, s1 = one
+    t2, n2, inv2, s2 = two
+    pooled = (t1 + t2) / (n1 + n2)
+    se = np.sqrt(pooled * (1.0 - pooled) * (inv1 + inv2))
+    z = (s1 - s2) / se
+    zero_var = keep & ~(se > 0)
+    if count := np.count_nonzero(zero_var):  # z 0, as link_z defines it
+        z[zero_var] = 0.0
+    return z, count
+
+
 def build_graph(
     records: Sequence[InstitutionRecord],
     criterion: Criterion = Criterion.Z_TEST,
@@ -243,14 +261,15 @@ def build_graph(
     the ``strong`` flag and every record must carry interval bounds. Node
     weights are always the z against the 10% expectation.
 
-    Every pair is tested in one vectorised pass, in row blocks of the
-    name-ordered pair matrix, with the operation order of ``link_z``, so
-    each z is bit-equal to the scalar value. A pair whose pooled variance is
-    0 (a pool of 0 or 1, or one that underflows) gets z +0.0, as from
-    ``link_z``, and the call issues one DegeneratePoolWarning whose
-    ``count`` is the number of such pairs. A positive se is at least
-    sqrt(5e-324), so every other z is finite. ``threshold`` must be a
-    finite number > 0, whatever the criterion.
+    Every z comes from one vectorised pass with the scalar tests' operation
+    order, so each is bit-equal to the scalar value: node z to
+    ``z_vs_expectation`` (each node paired with its 10% twin: t 0.1 p, p,
+    share 0.1), pair z to ``link_z`` (in row blocks of the name-ordered pair
+    matrix). A node pool or pair whose pooled variance is 0 (a pool of 0 or
+    1, or one that underflows) gets z +0.0, and the call issues one
+    DegeneratePoolWarning whose ``count`` is the number of them. A positive
+    se is at least sqrt(5e-324), so every other z is finite. ``threshold``
+    must be a finite number > 0, whatever the criterion.
     """
     if not (math.isfinite(threshold) and threshold > 0):
         raise InvalidStatistic(f"threshold must be a finite number > 0 (got {threshold!r})")
@@ -262,7 +281,10 @@ def build_graph(
     names = tuple(r.name for r in recs)
     if len(set(names)) != len(recs):
         raise DuplicateRecord("records passed to build_graph must have unique names")
-    node_z = np.array([z_vs_expectation(r) for r in recs], dtype=np.float64)
+    t, p, pp = np.array([(r.t_top10, r.p, r.pp_top10) for r in recs],
+                        dtype=np.float64).reshape(-1, 3).T
+    if (empty := np.flatnonzero(p <= 0)).size:
+        raise EmptyInstitution(f"{names[empty[0]]}: institution has no publications")
 
     if criterion is Criterion.CI_OVERLAP:
         # every record needs its interval, paired or not
@@ -271,30 +293,19 @@ def build_graph(
     n = len(recs)
     parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0),
               np.empty(0, bool))]
-    if n > 1:
-        t = np.array([r.t_top10 for r in recs], dtype=np.float64)
-        p = np.array([r.p for r in recs], dtype=np.float64)
+    with np.errstate(all="ignore"):  # 1/p overflows on a subnormal p
         inv_p = 1.0 / p
-        if proportions == "exact":
-            share = t / p
-        else:
-            share = np.array([r.pp_top10 for r in recs], dtype=np.float64)
-        rows = max(1, _BLOCK_CELLS // n)
-        degenerate = 0
+        node_z, degenerate = _z_cells((t, p, inv_p, pp), (0.1 * p, p, inv_p, 0.1), True)
+        # each column's (t, p, 1/p, share): a block's rows and columns are its sides
+        side = np.stack((t, p, inv_p, t / p if proportions == "exact" else pp))
+        rows = max(1, _BLOCK_CELLS // (n or 1))
         # block rows i0..i1-1 against columns i0+1..n-1; keep cells with j > i
         for i0 in range(0, n - 1, rows):
             i1 = min(i0 + rows, n - 1)
             a, b = slice(i0, i1), slice(i0 + 1, n)
             upper = np.arange(n - i0 - 1)[None, :] >= np.arange(i1 - i0)[:, None]
-            with np.errstate(all="ignore"):
-                pooled = (t[a, None] + t[None, b]) / (p[a, None] + p[None, b])
-                se = np.sqrt(pooled * (1.0 - pooled) * (inv_p[a, None] + inv_p[None, b]))
-                z = (share[a, None] - share[None, b]) / se
-                regular = se > 0
-            zero_var = upper & ~regular
-            if count := np.count_nonzero(zero_var):  # z 0, as link_z defines it
-                z[zero_var] = 0.0
-                degenerate += count
+            z, count = _z_cells(side[:, a, None], side[:, None, b], upper)
+            degenerate += count
             if criterion is Criterion.Z_TEST:
                 r, c = np.nonzero(upper & (np.abs(z) < threshold))
                 strong = np.zeros(len(r), dtype=bool)
@@ -304,11 +315,11 @@ def build_graph(
                 a_lo, a_hi, b_lo, b_hi = lo[r + i0], hi[r + i0], lo[c + i0 + 1], hi[c + i0 + 1]
                 strong = ((b_lo <= a_lo) & (a_hi <= b_hi)) | ((a_lo <= b_lo) & (b_hi <= a_hi))
             parts.append((r + i0, c + (i0 + 1), z[r, c], strong))
-        if degenerate:
-            warnings.warn(DegeneratePoolWarning(int(degenerate)), stacklevel=2)
+    if degenerate:
+        warnings.warn(DegeneratePoolWarning(degenerate), stacklevel=2)
 
     cols = [np.concatenate(col) for col in zip(*parts)]
-    for col in cols:  # new arrays: frozen here, so that the graph need not copy them
+    for col in [node_z] + cols:  # new arrays: frozen here, so that the graph need not copy them
         col.flags.writeable = False
     return SignificanceGraph(names, node_z, *cols)
 

@@ -22,7 +22,7 @@ import ranksig
 from ranksig import cli, dynamics, export
 from ranksig.cli import main
 from ranksig.errors import InvariantViolation
-from ranksig.export import render_graph
+from ranksig.export import GRAPH_FORMATS, render_graph
 from ranksig.ingest import dump_records, load_records
 from ranksig.siggraph import build_graph
 
@@ -430,6 +430,25 @@ class TestOneSlice:
 
 
 class TestErrorPaths:
+    def test_group_of_one_institution_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "two.csv"
+        path.write_text(dump_records([make_record(name="A"),
+                                      make_record(name="B", country="US")]))
+        code, out, err = run(capsys, "group", "--input", str(path), "--countries", "CN")
+        assert (code, out) == (2, "")
+        assert err == ("ranksig: error: grouping needs at least two institutions "
+                       "after selection\n")
+
+    def test_header_only_file_contributes_nothing(self, capsys, tmp_path):
+        trio, empty = tmp_path / "trio.csv", tmp_path / "empty.csv"
+        trio.write_text(dump_records(ranksig.data.trio_records()))
+        empty.write_text(dump_records([]))
+        expected = run(capsys, "group", "--input", str(trio))
+        assert expected[0] == 0
+        for inputs in ((empty, trio), (trio, empty)):
+            argv = [arg for path in inputs for arg in ("--input", str(path))]
+            assert run(capsys, "group", *argv) == expected
+
     def test_missing_input_file_is_user_error(self, capsys):
         code, _, err = run(capsys, "group", "--input", "/nonexistent/file.csv")
         assert code == 2
@@ -657,6 +676,45 @@ class TestOptions:
             (alpha,) = (a for a in commands.choices[name]._actions
                         if "--alpha" in a.option_strings)
             assert list(alpha.choices) == [str(a) for a in stats.ALPHA_THRESHOLDS], name
+
+    def test_copied_vocabularies_equal_their_owners(self):
+        """Each choice list the parser spells out (so that parsing imports no
+        numpy) is the vocabulary of the library code that reads it."""
+        from ranksig.errors import InvalidStatistic
+        from ranksig.ingest import Counting
+        from ranksig.siggraph import Criterion
+        from ranksig.stats import ALPHA_THRESHOLDS, link_z
+        (commands,) = (a for a in cli._build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+        seen = {}
+        for p in commands.choices.values():
+            for action in p._actions:
+                if action.choices is not None:
+                    for option in action.option_strings:
+                        seen.setdefault(option, set()).add(frozenset(action.choices))
+        criteria = {c.value for c in Criterion}
+        owners = {
+            "--criterion": criteria,
+            "--criterion-b": criteria,
+            "--counting": {c.value for c in Counting},
+            "--alpha": {str(a) for a in ALPHA_THRESHOLDS},
+            "--proportions": {"stored", "exact"},
+            "--format": set(GRAPH_FORMATS),
+        }
+        # --grouping names the two grouping functions, which have no such list
+        assert set(seen) == set(owners) | {"--grouping"}
+        for option, owner in owners.items():
+            assert seen[option] == {frozenset(owner)}, option
+        # the proportion modes are those that build_graph and link_z accept
+        a, b = make_record(name="A"), make_record(name="B", pp=0.2)
+        for mode in owners["--proportions"]:
+            build_graph([a, b], proportions=mode)
+            link_z(a, b, mode)
+        for mode in ("", "Stored", "EXACT", "ratio", "stored "):
+            for call in (lambda: build_graph([a, b], proportions=mode),
+                         lambda: link_z(a, b, mode)):
+                with pytest.raises(InvalidStatistic, match="unknown proportion mode"):
+                    call()
 
     @pytest.mark.parametrize("argv", [
         ("compare", "--seed", "3"),
@@ -1275,6 +1333,24 @@ class TestCountedWarnings:
         )
         assert result.stderr == (
             "ranksig: warning: 2 x DegeneratePoolWarning: pooled variance is 0: "
+            "z defined as 0\n"
+        )
+
+    def test_subnormal_counts_without_a_numpy_warning(self, tmp_path):
+        # 1/p overflows for A and B: their own pools and their pair have
+        # variance 0, and the overflow prints nothing
+        (tmp_path / "tiny.csv").write_text(
+            "name,country,period,field,counting,p,t_top10,pp_top10\n"
+            "A,CN,2020,All,frac,5e-324,0,0\n"
+            "B,CN,2020,All,frac,5e-324,0,0\n"
+            "C,CN,2020,All,frac,50,5,0.1\n", encoding="utf-8")
+        result = _python("-m", "ranksig.cli", "group", "--input", "tiny.csv", "--out", "t.csv",
+                         cwd=tmp_path)
+        assert result.returncode == 0
+        assert result.stderr == (
+            "3 institutions, 3 edges, 1 groups, 0 isolates\n"
+            "wrote t.csv\n"
+            "ranksig: warning: 3 x DegeneratePoolWarning: pooled variance is 0: "
             "z defined as 0\n"
         )
 

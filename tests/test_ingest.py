@@ -122,6 +122,19 @@ class TestMalformed:
         with pytest.raises(MalformedRow):
             parse_rows(TSINGHUA_ROW, directive="#pp_unit=permille")
 
+    def test_directive_without_equals_sign(self):
+        with pytest.raises(MalformedRow, match="^line 1: unrecognized directive '#pp_unit'$"):
+            parse_rows(TSINGHUA_ROW, directive="#pp_unit")
+
+    @pytest.mark.parametrize("column, row", [
+        ("country", "X,,2015-2018,All sciences,frac,1000,138,0.138,,"),
+        ("p", "X,CN,2015-2018,All sciences,frac, ,138,0.138,,"),
+        ("pp_top10", "X,CN,2015-2018,All sciences,frac,1000,138,,,"),
+    ])
+    def test_empty_required_cell(self, column, row):
+        with pytest.raises(MalformedRow, match=rf"^line 3: column '{column}' is empty$"):
+            parse_rows(TSINGHUA_ROW, row)
+
     def test_line_numbers_count_blank_lines_and_quoted_breaks(self):
         with pytest.raises(MalformedRow) as err:
             parse_rows('"Two\nLines U",CN,2015-2018,F,frac,10,1,0.1,,', "",

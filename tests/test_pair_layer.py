@@ -1,11 +1,11 @@
 """The vectorised pair pass of build_graph against a pair-by-pair reference.
 
 ``reference_graph`` is the scalar loop build_graph used before the pass
-was vectorised: one ``link_z`` (and, under the interval criterion, one
-``ci_relation``) per pair in name order. The vectorised pass must give
-the same edge list with bit-equal z, the same strong flags,
-the same DegeneratePoolWarning count, and the same exception when a pair
-cannot be tested.
+was vectorised: one ``z_vs_expectation`` per record, then one ``link_z``
+(and, under the interval criterion, one ``ci_relation``) per pair in name
+order. The vectorised pass must give bit-equal node z, the same edge list
+with bit-equal z, the same strong flags, the same DegeneratePoolWarning
+count, and the same exception when a record or pair cannot be tested.
 """
 
 import math
@@ -76,9 +76,11 @@ def warned_outcome(fn):
 
 
 # Publication counts include the extremes: MAX_COUNT, the largest count a
-# record accepts, and a subnormal p, which overflows 1/p.
+# record accepts, the count just below it, and a subnormal p, which
+# overflows 1/p.
 counts = st.one_of(
-    st.sampled_from([1.0, 2.0, 10.0, 1000.0, MAX_COUNT, 5e-324]),
+    st.sampled_from([1.0, 2.0, 10.0, 1000.0, math.nextafter(MAX_COUNT, 0.0), MAX_COUNT,
+                     5e-324]),
     st.floats(min_value=1e-3, max_value=1e7),
 )
 # The largest finite threshold keeps every pair: each z is finite.
@@ -100,12 +102,14 @@ def records(draw):
     for name in names:
         p = draw(counts)
         t = min(p, p * draw(fractions))
-        # stored share: either the count ratio or any value the record's
-        # t_top10 tolerance allows (kept clear of its rounding edge), so
-        # degenerate pools see both equal and unequal proportions
+        # stored share: the count ratio, the expectation 0.1 exactly, or any
+        # value the record's t_top10 tolerance allows (kept clear of its
+        # rounding edge), so degenerate pools see both equal and unequal
+        # proportions
         band = 0.999 * (0.5 + 0.005 * p)
-        pp = draw(st.one_of(st.just(t / p), st.floats(min_value=max(0.0, (t - band) / p),
-                                                      max_value=min(1.0, (t + band) / p))))
+        low, high = max(0.0, (t - band) / p), min(1.0, (t + band) / p)
+        shares = [t / p] + [0.1] * (low <= 0.1 <= high)
+        pp = draw(st.one_of(st.sampled_from(shares), st.floats(min_value=low, max_value=high)))
         lo = pp * draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
         hi = min(1.0, pp + (1.0 - pp) * draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])))
         out.append(make_record(name=name, p=p, t=t, pp=pp, ci=(lo, hi)))
@@ -127,11 +131,10 @@ def test_vectorised_pass_matches_pair_loop(recs, criterion, proportions, thresho
     with mock.patch.object(siggraph, "_BLOCK_CELLS", block_cells):
         result, counts = warned_outcome(
             lambda: new_graph(recs, criterion, threshold, proportions))
-    # the scalar loop warns once per degenerate pair, the pair pass once per
-    # call; each node z is a scalar test that warns on its own (a subnormal p)
+    # the scalar loop warns once per degenerate node pool and pair, the pass
+    # once per call
     assert (result, sum(counts)) == expected
-    nodes = warned_outcome(lambda: ([z_vs_expectation(r) for r in recs], []))
-    assert len(counts) <= len(nodes[1]) + 1
+    assert len(counts) <= 1
 
 
 @pytest.mark.parametrize("count", [0, 1, 2])
@@ -147,13 +150,13 @@ def test_invalid_threshold_raises_before_any_work(threshold, criterion):
     # a NaN or non-positive threshold joins no pair and an infinite one every pair
     recs = [make_record(name="A", ci=(0.1, 0.2)), make_record(name="B", ci=(0.1, 0.2))]
 
-    def fail(*args):
+    def unread():
         raise AssertionError("a record was read for an invalid threshold")
+        yield from recs  # a generator: its body runs when build_graph reads a record
 
     message = rf"^threshold must be a finite number > 0 \(got {threshold!r}\)$"
-    with mock.patch.object(siggraph, "z_vs_expectation", fail), \
-            pytest.raises(InvalidStatistic, match=message):
-        build_graph(recs, criterion, threshold)
+    with pytest.raises(InvalidStatistic, match=message):
+        build_graph(unread(), criterion, threshold)
 
 
 @pytest.mark.parametrize("criterion", ["ci", "ztest", None])
@@ -185,7 +188,8 @@ def test_zero_variance_pairs_match_the_pair_loop(proportions):
 
 def test_regular_pairs_never_reach_the_scalar_test():
     # regular pairs and the degenerate pools of the test above, one row per
-    # block: no pair goes through the scalar link_z, whatever its pool
+    # block: no pair goes through the scalar link_z and no node through the
+    # scalar z_vs_expectation, whatever its pool
     recs = [make_record(name=f"u{i}", p=500.0 + 37 * i, pp=0.05 + 0.01 * i)
             for i in range(30)] + [
         make_record(name="A", p=10.0, t=0.0, pp=0.0),
@@ -198,9 +202,26 @@ def test_regular_pairs_never_reach_the_scalar_test():
 
     with mock.patch.object(siggraph, "link_z",
                            side_effect=AssertionError("scalar link_z called")) as scalar, \
+            mock.patch.object(siggraph, "z_vs_expectation",
+                              side_effect=AssertionError("scalar node z called")) as node, \
             mock.patch.object(siggraph, "_BLOCK_CELLS", 50):
         result, counts = warned_outcome(lambda: new_graph(recs, Criterion.Z_TEST, 2.576,
                                                           "stored"))
     scalar.assert_not_called()
+    node.assert_not_called()
     assert len(counts) == 1 and expected[1] >= 4
     assert (result, counts[0]) == expected
+
+
+def test_subnormal_pools_warn_once_without_a_numpy_warning():
+    # 1/p overflows for A and B: their own pools and their pair have variance
+    # 0, and the overflow stays inside the pass
+    recs = [make_record(name="A", p=5e-324, t=0.0, pp=0.0),
+            make_record(name="B", p=5e-324, t=0.0, pp=0.0),
+            make_record(name="C", p=50.0, t=5.0, pp=0.1)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        g = build_graph(recs)
+    assert [w.category for w in caught] == [DegeneratePoolWarning]
+    assert caught[0].message.count == 3
+    assert g.node_z.tolist() == [0.0, 0.0, 0.0]

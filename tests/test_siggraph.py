@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ranksig import data
+from ranksig import data, siggraph
 from ranksig.errors import (
-    DegeneratePoolWarning, EmptyInstitution, InvalidStatistic, MissingInterval,
+    DegeneratePoolWarning, DuplicateRecord, EmptyInstitution, InvalidStatistic, MissingInterval,
 )
 from ranksig.export import GRAPH_FORMATS, render_graph
 from ranksig.siggraph import (
@@ -100,6 +100,10 @@ class TestGraphValidation:
     def test_bad_edges_rejected(self, edges, message):
         with pytest.raises(ValueError, match=message):
             SignificanceGraph.from_scores([(n, 0.0) for n in "abc"], edges)
+
+    def test_repeated_node_rejected(self):
+        with pytest.raises(DuplicateRecord, match="^graph nodes must have unique names$"):
+            SignificanceGraph.from_scores([("a", 1.0), ("b", 2.0), ("a", 1.0)])
 
     def test_nan_node_z_rejected(self):
         # a NaN has no place in the (-z, name) order that ranks and tiers read
@@ -241,10 +245,19 @@ class TestBuildGraph:
         with pytest.raises(MissingInterval, match="B"):
             build_graph(recs, criterion=Criterion.CI_OVERLAP)
 
-    def test_empty_institution_is_named(self):
-        recs = [make_record(name="Ghost U", p=0.0, pp=0.0), make_record(name="B")]
-        with pytest.raises(EmptyInstitution, match="Ghost U"):
+    def test_two_records_of_one_name_rejected(self):
+        recs = [make_record(name="A"), make_record(name="B"), make_record(name="A", pp=0.2)]
+        with pytest.raises(DuplicateRecord, match="must have unique names"):
             build_graph(recs)
+
+    def test_empty_institution_is_named(self):
+        # the first in name order, before B's missing interval under either criterion
+        recs = [make_record(name="Ghost V", p=0.0, pp=0.0),
+                make_record(name="Ghost U", p=0.0, pp=0.0), make_record(name="B")]
+        for criterion in Criterion:
+            with pytest.raises(EmptyInstitution,
+                               match="^Ghost U: institution has no publications$"):
+                build_graph(recs, criterion)
 
     def test_threshold_monotone(self):
         rng = np.random.default_rng(23)
@@ -406,6 +419,15 @@ class TestCluster:
             fine = cluster(g, seed=2)
             for comp in fine.groups():
                 assert len({weak.assignment[n] for n in comp}) == 1
+
+    def test_weak_components_kept_when_louvain_scores_lower(self, monkeypatch):
+        # singletons on a clique score below its one component
+        names = [f"n{i}" for i in range(5)]
+        g = SignificanceGraph.from_scores(
+            [(n, float(i)) for i, n in enumerate(names)], itertools.combinations(names, 2))
+        monkeypatch.setattr(siggraph, "_louvain", lambda g, resolution, seed: list(range(5)))
+        assert_same_grouping(cluster(g, seed=0), weak_components(g))
+        assert cluster(g, seed=0).groups() == (tuple(names),)
 
     def test_isolates_stay_singletons(self):
         g = SignificanceGraph.from_scores(
