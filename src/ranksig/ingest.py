@@ -238,8 +238,6 @@ def parse_records(source: Union[str, bytes, IO]) -> list:
         offset = 1
         line = buf.readline().rstrip("\r\n")
         directive = line[1:].strip()
-        if "=" not in directive:
-            raise MalformedRow(1, f"unrecognized directive {line!r}")
         key, _, value = directive.partition("=")
         if key.strip() != "pp_unit" or value.strip() not in ("fraction", "percent"):
             raise MalformedRow(1, f"unrecognized directive {line!r}")

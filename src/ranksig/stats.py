@@ -82,8 +82,8 @@ class ContingencyTable:
     """An r x c table of non-negative real-valued counts with labels.
 
     Margins are computed, never stored, so they always equal the cell
-    sums. Requires at least two rows and two columns and a positive grand
-    total.
+    sums. Requires at least two rows and two columns and a grand total that
+    is positive and within the float range.
     """
 
     rows: Tuple[str, ...]
@@ -102,14 +102,16 @@ class ContingencyTable:
             raise DegenerateTable(f"table must be at least 2x2, got {r}x{c}")
         if len(self.observed) != r or any(len(row) != c for row in self.observed):
             raise DegenerateTable("observed matrix does not match label shape")
-        for i, row in enumerate(self.observed):
-            for j, x in enumerate(row):
+        for row_label, row in zip(self.rows, self.observed):
+            for col_label, x in zip(self.cols, row):
                 if not (math.isfinite(x) and x >= 0):
-                    raise DegenerateTable(
-                        f"cell ({self.rows[i]!r}, {self.cols[j]!r}) must be a "
-                        f"finite real >= 0, got {x}"
-                    )
-        if self.grand_total <= 0:
+                    raise DegenerateTable(f"cell ({row_label!r}, {col_label!r}) must be "
+                                          f"a finite real >= 0, got {x}")
+        try:
+            total = self.grand_total
+        except OverflowError:  # finite cells whose sum passes the float range
+            raise DegenerateTable("grand total overflows the float range") from None
+        if total <= 0:
             raise DegenerateTable("grand total must be positive")
 
     @property
@@ -154,41 +156,38 @@ class IntervalRelation:
             )
 
 
+def _expected_cells(obs: ContingencyTable) -> Tuple[Tuple[float, ...], ...]:
+    """Row total * column total / grand total for every cell, row by row;
+    DegenerateTable if a margin product overflows."""
+    row_totals, col_totals, grand = obs.row_totals, obs.col_totals, obs.grand_total
+    cells = tuple(tuple(r * c / grand for c in col_totals) for r in row_totals)
+    if any(math.isinf(e) for row in cells for e in row):
+        raise DegenerateTable("expected counts overflow the float range")
+    return cells
+
+
 def expected_table(obs: ContingencyTable) -> ContingencyTable:
     """Expected cell values under independence: row total * column total / grand total.
 
     Margins of the result equal the observed margins up to rounding. A zero
-    row or column total makes the expected cells there zero; the statistics
-    that divide by them raise ZeroExpectedCell.
+    margin, or a margin product that underflows, makes a cell zero; the
+    statistics that divide by it raise ZeroExpectedCell. DegenerateTable when
+    a margin product overflows, or when every cell is zero (no positive total).
     """
-    row_totals = obs.row_totals
-    col_totals = obs.col_totals
-    grand = obs.grand_total
-    cells = tuple(
-        tuple(row_totals[i] * col_totals[j] / grand for j in range(len(obs.cols)))
-        for i in range(len(obs.rows))
-    )
-    return ContingencyTable(rows=obs.rows, cols=obs.cols, observed=cells)
+    return ContingencyTable(obs.rows, obs.cols, _expected_cells(obs))
 
 
 def _cellwise(obs: ContingencyTable, f) -> Tuple[Tuple[float, ...], ...]:
     """f(observed, expected) for every cell, row by row.
 
-    Raises ZeroExpectedCell at the first cell whose expected value is zero.
+    Raises DegenerateTable if a margin product overflows, else ZeroExpectedCell
+    at the first zero expected cell (a zero margin or an underflowing product).
     """
-    exp = expected_table(obs)
-    out = []
-    for i, row_label in enumerate(obs.rows):
-        row = []
-        for j, col_label in enumerate(obs.cols):
-            e = exp.observed[i][j]
-            if e <= 0:
-                raise ZeroExpectedCell(
-                    f"expected cell ({row_label!r}, {col_label!r}) is zero"
-                )
-            row.append(f(obs.observed[i][j], e))
-        out.append(tuple(row))
-    return tuple(out)
+    exp = _expected_cells(obs)
+    zero = [(r, c) for r, row in zip(obs.rows, exp) for c, e in zip(obs.cols, row) if e == 0]
+    if zero:
+        raise ZeroExpectedCell(f"expected cell {zero[0]!r} is zero")
+    return tuple(tuple(map(f, o_row, e_row)) for o_row, e_row in zip(obs.observed, exp))
 
 
 def chi_square_terms(obs: ContingencyTable) -> Tuple[Tuple[float, ...], ...]:

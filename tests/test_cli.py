@@ -16,7 +16,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import ranksig
 from ranksig import cli, dynamics, export
@@ -1477,22 +1477,24 @@ class TestDegeneratePool:
 
     def test_expected_cell_that_underflows(self, capsys, tmp_path, monkeypatch):
         # A's top count of 5e-324 makes a positive column total whose expected
-        # cells round to 0: chi-square is undefined, and the report still prints
-        (tmp_path / "x.csv").write_text(
-            "name,country,period,field,counting,p,t_top10,pp_top10\n"
-            "A,CN,2020,All,frac,10,5e-324,0\n"
-            "B,CN,2020,All,frac,10,0,0\n"
-            "C,CN,2020,All,frac,50,5,0.1\n", encoding="utf-8")
+        # cells round to 0; papers of 1e-300 make margins whose products all
+        # round to 0. Chi-square is undefined, and the report still prints
         monkeypatch.chdir(tmp_path)
-        code, out, err = run(capsys, "pairwise", "--input", "x.csv", "A", "B")
-        assert code == 0
-        assert "\nchi-square test undefined: an expected count is zero\n" in out
-        assert "z (stored shares) = 0.000" in out and "z (exact ratios)  = 0.000" in out
-        assert err == self.WARNING.format(2)
-        for argv in (("group",), ("export",)):
-            code, _, err = run(capsys, *argv, "--input", "x.csv")
-            assert code == 0
-            assert err.endswith(self.WARNING.format(1))
+        for a, b in (("10,5e-324,0", "10,0,0"), ("1e-300,0,0", "1e-300,0,0")):
+            (tmp_path / "x.csv").write_text(
+                "name,country,period,field,counting,p,t_top10,pp_top10\n"
+                f"A,CN,2020,All,frac,{a}\n"
+                f"B,CN,2020,All,frac,{b}\n"
+                "C,CN,2020,All,frac,50,5,0.1\n", encoding="utf-8")
+            code, out, err = run(capsys, "pairwise", "--input", "x.csv", "A", "B")
+            assert code == 0, err
+            assert "\nchi-square test undefined: an expected count is zero\n" in out
+            assert "z (stored shares) = 0.000" in out and "z (exact ratios)  = 0.000" in out
+            assert err == self.WARNING.format(2)
+            for argv in (("group",), ("export",)):
+                code, _, err = run(capsys, *argv, "--input", "x.csv")
+                assert code == 0
+                assert err.endswith(self.WARNING.format(1))
 
     def test_pool_that_rounds_to_1(self, capsys, tmp_path, monkeypatch):
         # A and B pool to 1.0 while B's t / p stays below 1
@@ -1524,7 +1526,7 @@ def _records_csv(rows):
 
 
 EDITION_ROWS = st.lists(
-    st.tuples(st.sampled_from((0.0, 0.5, 1.0, 3.0, 10.0, 1e6)),
+    st.tuples(st.sampled_from((0.0, 5e-324, 1e-300, 0.5, 1.0, 3.0, 10.0, 1e6)),
               st.sampled_from((0.0, 1.0, 0.5)), st.sampled_from((0.0, 0.004, -0.004)),
               st.booleans()),
     min_size=2, max_size=6,
@@ -1543,6 +1545,8 @@ class TestExitCodes:
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
+    # two rows without top-10% papers whose margin products underflow
+    @example(rows=[(1e-300, 0.0, 0.0, False), (1e-300, 0.0, 0.0, False)])
     @given(rows=EDITION_ROWS)
     def test_only_0_or_2(self, capsys, tmp_path, rows):
         path = tmp_path / "edition.csv"

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ranksig.errors import (
     DegeneratePoolWarning,
@@ -11,6 +11,7 @@ from ranksig.errors import (
     EmptyInstitution,
     InvalidStatistic,
     MissingInterval,
+    RanksigError,
     ZeroExpectedCell,
 )
 from ranksig.stats import (
@@ -102,6 +103,47 @@ class TestExpectedTable:
             table([[1, -2], [3, 4]])
         with pytest.raises(DegenerateTable):
             table([[0, 0], [0, 0]])
+        with pytest.raises(DegenerateTable, match="grand total overflows"):
+            table([[1e308, 1e308], [1, 1]])
+
+
+# cells from zero through subnormal, tiny, ordinary and huge counts to ones
+# whose margin products or sums pass the float range
+TABLE_CELLS = (0.0, 5e-324, 1e-300, 0.5, 1.0, 1e6, 1e154, 1e160, 1e307)
+
+
+@st.composite
+def cell_grids(draw):
+    r, c = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    row = st.lists(st.sampled_from(TABLE_CELLS), min_size=c, max_size=c)
+    return draw(st.lists(row, min_size=r, max_size=r))
+
+
+class TestFloatRange:
+    """A table past the float range raises DegenerateTable: at construction when
+    its total overflows, in the statistics when a margin product does. The
+    statistics of an accepted table are numbers or a RanksigError, never NaN."""
+
+    def test_margin_product_past_the_float_range_is_rejected(self):
+        t = table([[1e160, 1e160], [1e160, 1e160]])
+        for statistic in (expected_table, chi_square_terms, chi_square, standardized_residuals):
+            with pytest.raises(DegenerateTable, match="expected counts overflow"):
+                statistic(t)
+
+    # finite cells whose total passes the float range
+    @example(cells=[[1e308, 1e308], [1, 1]])
+    @given(cells=cell_grids())
+    def test_accepted_tables_give_no_nan(self, cells):
+        try:
+            t = table(cells)
+        except DegenerateTable:
+            return
+        for statistic in (chi_square_terms, chi_square, standardized_residuals):
+            try:
+                value = statistic(t)
+            except RanksigError:
+                continue
+            assert not np.isnan(value).any(), (statistic.__name__, value)
 
 
 class TestChiSquare:
@@ -129,9 +171,11 @@ class TestChiSquare:
             )
 
     def test_zero_expected_cell_named(self):
-        for statistic in (chi_square, chi_square_terms, standardized_residuals):
-            with pytest.raises(ZeroExpectedCell, match="c0"):
-                statistic(table([[0, 5], [0, 7]]))
+        # the second table's margin products (1e-300 * 2e-300) all underflow
+        for cells in ([[0, 5], [0, 7]], [[0, 1e-300], [0, 1e-300]]):
+            for statistic in (chi_square, chi_square_terms, standardized_residuals):
+                with pytest.raises(ZeroExpectedCell, match="c0"):
+                    statistic(table(cells))
 
     def test_scale_property(self):
         rng = np.random.default_rng(3)
