@@ -92,16 +92,12 @@ def _load_records(args) -> List[InstitutionRecord]:
     counting = Counting.parse(args.counting) if args.counting else None
     selector = DatasetSelector(period=args.period, field=args.field, counting=counting,
                                countries=countries)
-    if not args.input:
+    if args.input:
+        records = [rec for path in args.input for rec in load_records(path)]
+    else:
         from . import data
-        return _one_slice(select_records(data.trio_records(), selector))
-    batches: List[InstitutionRecord] = []
-    for path in args.input:
-        try:
-            batches.extend(load_records(path))
-        except NoMatch:
-            continue  # a file with zero data rows contributes nothing
-    return _one_slice(select_records(batches, selector))
+        records = data.trio_records()
+    return _one_slice(select_records(records, selector))
 
 
 def _one_slice(records: List[InstitutionRecord]) -> List[InstitutionRecord]:

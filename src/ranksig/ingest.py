@@ -219,16 +219,15 @@ def _parse_float(line_no: int, column: str, cell: str) -> float:
 def parse_records(source: Union[str, bytes, IO]) -> list:
     """Parse indicator records from delimited text.
 
-    Returns the records in input order, deduplicated by (name, period,
-    field, counting) keeping the first occurrence. Two rows with the same
-    key must be identical; otherwise DuplicateRecord is raised. Use
-    ``select_records`` to pick a subset.
+    Returns the records in input order (none for a header without data
+    rows), deduplicated by (name, period, field, counting) keeping the
+    first occurrence. Two rows with the same key must be identical;
+    otherwise DuplicateRecord is raised. Use ``select_records`` to pick a subset.
 
     Raises:
         MalformedRow: a line breaks the schema (carries line number and reason).
         InvariantViolation: a row violates the record invariants ("line N: ...").
         DuplicateRecord: conflicting rows share a deduplication key.
-        NoMatch: the text holds no data rows.
     """
     text = _as_text(source)
     buf = io.StringIO(text, newline="")
@@ -335,8 +334,8 @@ def select_records(
 ) -> list:
     """Apply a selector and deduplicate, preserving first-seen order.
 
-    Raises NoMatch when nothing survives, DuplicateRecord on conflicting
-    rows that share a key.
+    Raises NoMatch when a selector matches nothing (without one, no records
+    give no records), DuplicateRecord on conflicting rows that share a key.
     """
     seen = {}
     out = []
@@ -354,9 +353,8 @@ def select_records(
             continue
         seen[key] = rec
         out.append(rec)
-    if not out:
-        desc = selector.describe() if selector is not None else "<all records>"
-        raise NoMatch(f"no records match selector: {desc}")
+    if not out and selector is not None:
+        raise NoMatch(f"no records match selector: {selector.describe()}")
     return out
 
 

@@ -171,10 +171,13 @@ def expected_table(obs: ContingencyTable) -> ContingencyTable:
 
     Margins of the result equal the observed margins up to rounding. A zero
     margin, or a margin product that underflows, makes a cell zero; the
-    statistics that divide by it raise ZeroExpectedCell. DegenerateTable when
-    a margin product overflows, or when every cell is zero (no positive total).
+    statistics that divide by it raise ZeroExpectedCell, as this does when
+    every cell is zero. DegenerateTable when a margin product overflows.
     """
-    return ContingencyTable(obs.rows, obs.cols, _expected_cells(obs))
+    exp = _expected_cells(obs)
+    if not any(map(any, exp)):
+        raise ZeroExpectedCell(f"expected cell {(obs.rows[0], obs.cols[0])!r} is zero")
+    return ContingencyTable(obs.rows, obs.cols, exp)
 
 
 def _cellwise(obs: ContingencyTable, f) -> Tuple[Tuple[float, ...], ...]:

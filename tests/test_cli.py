@@ -454,10 +454,22 @@ class TestErrorPaths:
         assert code == 2
         assert "file.csv" in err
 
-    def test_empty_selection_exit_2(self, capsys):
-        code, _, err = run(capsys, "group", "--period", "1999-2002")
-        assert code == 2
-        assert "no records match" in err
+    def test_empty_selection_exit_2(self, capsys, tmp_path):
+        header_only = tmp_path / "header-only.csv"
+        header_only.write_text(dump_records([]))
+        # the selector is named part by part; a header-only input names no part
+        for argv, desc in [
+            (("--period", "1999-2002"), "period='1999-2002'"),
+            (("--field", "Physics"), "field='Physics'"),
+            (("--counting", "full"), "counting=full"),
+            (("--period", "1999-2002", "--field", "Physics", "--counting", "frac",
+              "--countries", "US,CN"),
+             "period='1999-2002', field='Physics', counting=frac, countries={CN, US}"),
+            (("--input", str(header_only)), "<all records>"),
+        ]:
+            code, out, err = run(capsys, "group", *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == f"ranksig: error: no records match selector: {desc}\n"
 
     @pytest.mark.parametrize("countries", ["", ","], ids=["empty", "comma"])
     def test_empty_country_list_matches_nothing(self, capsys, countries):

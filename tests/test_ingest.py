@@ -295,7 +295,7 @@ def _records(draw):
     )
 
 
-@given(st.lists(_records(), min_size=1, max_size=8, unique_by=lambda r: r.name))
+@given(st.lists(_records(), min_size=0, max_size=8, unique_by=lambda r: r.name))
 def test_round_trip(records):
     parsed = parse_records(dump_records(records))
     assert parsed == records
@@ -338,7 +338,7 @@ def test_load_records_names_the_file_of_an_invariant_error(tmp_path):
     assert str(exc) == f"line 2: {exc.reason}"
 
 
-@given(st.lists(_records(), min_size=1, max_size=8, unique_by=lambda r: r.name))
+@given(st.lists(_records(), min_size=0, max_size=8, unique_by=lambda r: r.name))
 def test_select_records_identity_without_selector(records):
     assert select_records(records) == list(records)
 

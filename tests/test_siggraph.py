@@ -147,7 +147,7 @@ class TestGraphValidation:
             data.draw(st.permutations(
                 [(e[1], e[0], *e[2:]) if flip else e for e, flip in zip(items, flips)])),
         )
-        assert h == g
+        assert h == g and hash(h) == hash(g)
         finite = all(z is None or math.isfinite(z) for z in zs)
         for fmt in GRAPH_FORMATS:
             if fmt == "vjson" and not finite:  # JSON has no inf: both raise
@@ -163,6 +163,8 @@ class TestGraphValidation:
         )
         assert [(e.a, e.b, e.z) for e in g.edges] == [("a", "b", 0.5), ("a", "c", -1.5)]
         assert (g.src.tolist(), g.dst.tolist(), g.edge_count) == ([0, 0], [1, 2], 2)
+        assert repr(g) == "SignificanceGraph(3 nodes, 2 edges)"
+        assert g != (g.names, g.node_z)
         built = build_graph([make_record(name=n, pp=0.1) for n in "cab"])
         assert built.edges is built.edges
         assert built == SignificanceGraph.from_scores(

@@ -17,6 +17,7 @@ from ranksig.errors import (
 from ranksig.stats import (
     ContingencyTable,
     Direction,
+    IntervalRelation,
     RelationKind,
     SignificanceLevel,
     chi_square,
@@ -28,6 +29,7 @@ from ranksig.stats import (
     pair_table,
     significance_level,
     standardized_residuals,
+    threshold_for_alpha,
     z_two_proportions,
     z_vs_expectation,
 )
@@ -103,6 +105,8 @@ class TestExpectedTable:
             table([[1, -2], [3, 4]])
         with pytest.raises(DegenerateTable):
             table([[0, 0], [0, 0]])
+        with pytest.raises(DegenerateTable, match="does not match label shape"):
+            table([[1, 2], [3]])
         with pytest.raises(DegenerateTable, match="grand total overflows"):
             table([[1e308, 1e308], [1, 1]])
 
@@ -176,6 +180,9 @@ class TestChiSquare:
             for statistic in (chi_square, chi_square_terms, standardized_residuals):
                 with pytest.raises(ZeroExpectedCell, match="c0"):
                     statistic(table(cells))
+        # with every expected cell zero there is no table to return
+        with pytest.raises(ZeroExpectedCell, match=r"^expected cell \('r0', 'c0'\) is zero$"):
+            expected_table(table([[0, 1e-300], [0, 1e-300]]))
 
     def test_scale_property(self):
         rng = np.random.default_rng(3)
@@ -286,6 +293,11 @@ class TestZTwoProportions:
         with pytest.raises(EmptyInstitution):
             z_two_proportions(0.1, 0, 0.1, 10, 0.1)
 
+    @pytest.mark.parametrize("pooled", [-0.1, 1.5])
+    def test_pool_outside_unit_interval_rejected(self, pooled):
+        with pytest.raises(InvalidStatistic, match="must lie in"):
+            z_two_proportions(0.1, 10, 0.1, 10, pooled)
+
 
 class TestLinkZDegeneratePool:
     """A pool of 0 or 1, exact or rounded, gives z 0 with a warning, whatever the shares."""
@@ -369,6 +381,11 @@ class TestSignificanceLevel:
     def test_stars(self):
         assert significance_level(8.533).stars == "***"
         assert significance_level(0.638).stars == ""
+
+    @pytest.mark.parametrize("alpha", [0.02, 0.1, math.nan])
+    def test_alpha_off_the_ladder_rejected(self, alpha):
+        with pytest.raises(InvalidStatistic, match="alpha must be one of"):
+            threshold_for_alpha(alpha)
 
 
 class TestChiSquareLevel:
@@ -470,6 +487,13 @@ class TestCiRelation:
     def test_inverted_bounds_rejected(self):
         with pytest.raises(InvalidStatistic):
             ci_relation((0.2, 0.1), (0.0, 1.0))
+
+    @pytest.mark.parametrize("kind, direction", [
+        (RelationKind.CONTAINMENT, None), (RelationKind.OVERLAP, Direction.MUTUAL),
+    ])
+    def test_direction_exactly_with_containment(self, kind, direction):
+        with pytest.raises(InvalidStatistic, match="exactly when kind is containment"):
+            IntervalRelation(kind, direction)
 
 
 class TestPairwise:
